@@ -63,8 +63,23 @@ def _atomic_output(path: str):
         raise
 
 
-def _parse_size_range(text: str) -> list[int]:
-    spec = parse_size_spec(text)
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, so a bad value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _size_range(text: str) -> list[int]:
+    """argparse type: the sizes of an "A..B" range with 1 <= A <= B."""
+    try:
+        spec = parse_size_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return list(range(spec.lo, spec.hi + 1))
 
 
@@ -221,7 +236,7 @@ def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
     scope = _resolve_scope(args, family)
-    sizes = _parse_size_range(args.sizes)
+    sizes = args.sizes
     max_size = max(sizes)
 
     def run(pair):
@@ -280,7 +295,7 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,14 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster units into capped instruction subsets")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
-    p.add_argument("--cap", type=int, default=10, help="max instructions per subset (default 10)")
+    p.add_argument("--cap", type=_positive_int, default=10, help="max instructions per subset (default 10)")
     _add_common_output(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("probs", help="instruction probability tables as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--cap", type=int, default=None, help="cap recorded in the family file")
+    p.add_argument("--cap", type=_positive_int, default=None, help="cap recorded in the family file")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument(
         "--per-size",
@@ -330,9 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="per-size solution probability thresholds as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--cap", type=int, default=None, help="cap recorded in the family file")
+    p.add_argument("--cap", type=_positive_int, default=None, help="cap recorded in the family file")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
-    p.add_argument("--max-size", type=int, default=40, help="largest unit size to use (default 40)")
+    p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
     p.add_argument("--ranges", help="also write possible/observed probability ranges CSV here")
     p.add_argument("--pu-probs", help="also write per-unit solution probabilities CSV here")
     _add_threads(p)
@@ -343,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
-    p.add_argument("--sizes", required=True, help="solution size range A..B")
-    p.add_argument("--cap", type=int, default=10, help="baseline subset cap (default 10)")
+    p.add_argument("--sizes", type=_size_range, required=True, help="solution size range A..B")
+    p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
     p.add_argument("--mode", choices=[SEQUENCES, MULTISETS], default=SEQUENCES)
     p.add_argument("--cumulative", action="store_true", help="count all depths 1..S, not just depth S")
     _add_threads(p)
@@ -354,9 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="cross-validate thresholds on held-out units")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--fractions", required=True, help="comma-separated training fractions in (0,1)")
-    p.add_argument("--max-size", type=int, default=40)
+    p.add_argument("--max-size", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--repeats", type=int, default=1, help="splits per fraction (per-repeat seeds)")
+    p.add_argument("--repeats", type=_positive_int, default=1, help="splits per fraction (per-repeat seeds)")
     p.add_argument(
         "--train-probs",
         action="store_true",
@@ -369,12 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a DSL program from a test-case spec")
     p.add_argument("--spec", required=True, help="test-case spec JSON")
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
-    p.add_argument("--cap", type=int, default=10)
-    p.add_argument("--max-size", type=int, default=5, help="largest program size to try")
+    p.add_argument("--cap", type=_positive_int, default=10)
+    p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
     p.add_argument("--step", type=float, default=-2.0, help="log10 widening step per round")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--no-prune", action="store_true", help="disable threshold pruning")
-    _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)
 

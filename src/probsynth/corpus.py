@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,7 +120,7 @@ def _parse_record(line: str, lineno: int) -> ProgramUnit:
         raise CorpusFormatError(f"{where}: 'instructions' must be an array")
     if not instructions:
         raise CorpusFormatError(f"{where}: unit {unit_id!r} has an empty instruction list")
-    tokens = tuple(_check_token(tok, where) for tok in instructions)
+    tokens = tuple(map(sys.intern, (_check_token(tok, where) for tok in instructions)))
     return ProgramUnit(id=unit_id, instructions=tokens)
 
 

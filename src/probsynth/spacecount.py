@@ -9,13 +9,37 @@ precision integers in either of two modes:
                 contributes its multinomial coefficient S!/prod(m_i!)
   multisets  -- unordered candidates; each admissible multiset counts once
 
-The counter is a depth-first branch and bound over multisets with the
-instructions sorted by descending probability. At a partial assignment two
-exact bounds apply: if even the best completion (all remaining slots on
-the most probable remaining instruction) falls below the threshold the
-branch is cut, and if even the worst completion passes, the whole subtree
-is added in closed form. Both bounds are exact, so the result equals full
-enumeration.
+The counter meets in the middle (Horowitz & Sahni, JACM 1974). The
+instructions are sorted by descending probability and split in two: the
+top ``h`` and the bottom ``b = k - h``.
+
+The bottom side is solved once, ahead of any threshold. For every total
+``r`` up to the largest size asked for, a table holds the log10
+probabilities of all bottom multisets of total ``r`` in ascending order,
+with the suffix sums of their weights (``r!/prod(m!)`` for sequences, 1 for
+multisets). How many bottom completions clear a bound, weighted, is then
+one binary search.
+
+The top side is a depth-first branch and bound over multisets, walked with
+an explicit stack so that no alphabet size meets the recursion limit. At a
+partial assignment two exact bounds apply: if even the best completion (all
+remaining slots on the most probable remaining instruction) falls below the
+threshold the branch is cut, and if even the worst completion passes, the
+whole subtree is added in closed form. A partial that reaches the bottom
+with ``r`` slots left is answered by the table for ``r``, and its weight
+``S!/(prod m_top! * r!)`` times the table's weights gives the multinomial.
+The bounds and the lookups skip enumeration but keep its admissibility
+test, so the result equals full enumeration. (A lookup tests
+``bottom >= limit - top`` where enumeration sums ``top + bottom``; the two
+roundings can part only for a candidate within a few ulps of the limit,
+far inside the slack.)
+
+The split is worked out from the input: ``b`` is the largest bottom, at
+most ``k - 1``, whose tables (``C(max_size + b, b)`` entries over all
+totals) fit ``_TABLE_BUDGET`` entries, about 0.6 MB. With ``b = 0`` the
+counter is the plain branch and bound. ``measure`` builds the tables once
+per probability table, for its largest size, and every size it counts
+shares them; so do the sizes of a ``cumulative`` count.
 """
 
 from __future__ import annotations
@@ -23,6 +47,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
+from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import IO, Iterable
@@ -39,39 +67,150 @@ _MODES = (SEQUENCES, MULTISETS)
 _BRUTE_FORCE_MAX_ALPHABET = 8
 _BRUTE_FORCE_MAX_SIZE = 8
 
+# Most entries the bottom tables of one counter may hold, over all totals.
+# An entry is a float in an array and a suffix sum in a list, about 50
+# bytes, so the tables stay near 0.6 MB.
+_TABLE_BUDGET = 12_000
+
 
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _count_exact_size(logs: list[float], size: int, threshold: float, sequences: bool) -> int:
-    """Count admissible candidates of exactly ``size`` instructions."""
-    k = len(logs)
-    limit = threshold - LOG10_SLACK
-    worst_log = logs[-1]
+def _bottom_size(k: int, max_size: int) -> int:
+    """Largest bottom of at most k - 1 instructions whose tables fit the budget."""
+    b = 0
+    while b < k - 1 and math.comb(max_size + b + 1, b + 1) <= _TABLE_BUDGET:
+        b += 1
+    return b
 
-    def rec(i: int, remaining: int, logp: float, coeff: int) -> int:
-        # Best completion: all remaining slots on instruction i (the most
-        # probable one left). Admissible bound: nothing below survives.
-        if logp + remaining * logs[i] < limit:
+
+def _bottom_tables(logs: list[float], max_size: int, sequences: bool) -> list[tuple[array, list[int]]]:
+    """Per total r = 0..max_size: the ascending log10 probabilities of the
+    multisets of total r over ``logs``, and the suffix sums of their weights.
+
+    Built one instruction at a time: the multisets of total r over the first
+    j + 1 instructions are those of total r - m over the first j, with m
+    copies of instruction j added.
+    """
+    keys: list[list[float]] = [[0.0]] + [[] for _ in range(max_size)]
+    weights: list[list[int]] = [[1]] + [[] for _ in range(max_size)]
+    for log in logs:
+        new_keys, new_weights = [], []
+        for r in range(max_size + 1):
+            out_keys: list[float] = []
+            out_weights: list[int] = []
+            for m in range(r + 1):
+                add = m * log
+                out_keys.extend([key + add for key in keys[r - m]])
+                if sequences:
+                    c = math.comb(r, m)
+                    out_weights.extend([w * c for w in weights[r - m]])
+                else:
+                    out_weights.extend(weights[r - m])
+            new_keys.append(out_keys)
+            new_weights.append(out_weights)
+        keys, weights = new_keys, new_weights
+    tables = []
+    for r_keys, r_weights in zip(keys, weights):
+        order = sorted(range(len(r_keys)), key=r_keys.__getitem__)
+        suffix = [0] * (len(order) + 1)
+        acc = 0
+        for pos in range(len(order) - 1, -1, -1):
+            acc += r_weights[order[pos]]
+            suffix[pos] = acc
+        tables.append((array("d", [r_keys[j] for j in order]), suffix))
+    return tables
+
+
+class _Counter:
+    """Exact counts over one table for every size up to ``max_size``.
+
+    ``bottom`` fixes the split; left at None it is worked out from the
+    input, and only tests set it.
+    """
+
+    def __init__(self, table: ProbabilityTable, max_size: int, sequences: bool, bottom: int | None = None):
+        self.table = table
+        self.max_size = max_size
+        self.sequences = sequences
+        self.logs = sorted(table.log10_probs.values(), reverse=True)
+        k = len(self.logs)
+        if bottom is None:
+            bottom = _bottom_size(k, max_size)
+        self.top = k - bottom
+        self.tables = _bottom_tables(self.logs[self.top :], max_size, sequences)
+
+    def serves(self, table: ProbabilityTable, size: int, sequences: bool) -> bool:
+        return table is self.table and size <= self.max_size and sequences == self.sequences
+
+    def count(self, size: int, threshold: float) -> int:
+        """Admissible candidates of exactly ``size`` instructions."""
+        logs, top, tables, sequences = self.logs, self.top, self.tables, self.sequences
+        k = len(logs)
+        worst = logs[-1]
+        limit = threshold - LOG10_SLACK
+        comb = math.comb
+        if top == 0:
+            keys, suffix = tables[size]
+            return suffix[bisect_left(keys, limit)]
+        # Best completion: all slots on instruction 0, the most probable.
+        # Worst completion: all slots on the least probable instruction; if
+        # even that passes, every candidate is admissible.
+        if size * logs[0] < limit:
             return 0
-        # Worst completion: all remaining slots on the least probable
-        # instruction. If even that passes, the whole subtree is admissible.
-        if logp + remaining * worst_log >= limit:
-            n = k - i
-            if sequences:
-                return coeff * n**remaining
-            return math.comb(remaining + n - 1, n - 1)
+        if size * worst >= limit:
+            return k**size if sequences else comb(size + k - 1, k - 1)
+        binomials = [[comb(r, m) for m in range(r + 1)] for r in range(size + 1)] if sequences else []
         total = 0
-        for m in range(remaining + 1):
-            if sequences:
-                total += rec(i + 1, remaining - m, logp + m * logs[i], coeff * math.comb(remaining, m))
-            else:
-                total += rec(i + 1, remaining - m, logp + m * logs[i], 1)
+        # Partials that are neither cut nor closed by the bounds:
+        # (next instruction, slots left, log10 so far, weight so far).
+        stack = [(0, size, 0.0, 1)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            i, remaining, logp, coeff = pop()
+            log = logs[i]
+            nxt = i + 1
+            # Children in order of falling m, and so of falling best and
+            # worst completion: once one is cut, so is every later one.
+            if nxt == top:
+                bound = logs[top]
+                for m in range(remaining, -1, -1):
+                    child_logp = logp + m * log
+                    r = remaining - m
+                    if child_logp + r * bound < limit:
+                        break
+                    keys, suffix = tables[r]
+                    found = suffix[bisect_left(keys, limit - child_logp)]
+                    total += coeff * binomials[remaining][m] * found if sequences else found
+                continue
+            bound = logs[nxt]
+            n = k - nxt
+            for m in range(remaining, -1, -1):
+                child_logp = logp + m * log
+                r = remaining - m
+                if child_logp + r * bound < limit:
+                    break
+                c = coeff * binomials[remaining][m] if sequences else 1
+                if child_logp + r * worst >= limit:
+                    total += c * n**r if sequences else comb(r + n - 1, n - 1)
+                else:
+                    push((nxt, r, child_logp, c))
         return total
 
-    return rec(0, size, 0.0, 1)
+
+# The counter ``measure`` shares across the sizes it counts.
+_shared_counter: ContextVar[_Counter | None] = ContextVar("_shared_counter", default=None)
+
+
+@contextmanager
+def _sharing(counter: _Counter | None):
+    token = _shared_counter.set(counter)
+    try:
+        yield
+    finally:
+        _shared_counter.reset(token)
 
 
 def count_admissible(
@@ -91,9 +230,12 @@ def count_admissible(
         raise ValueError(f"size must be >= 1, got {size}")
     if not table.log10_probs:
         raise ValueError("probability table is empty")
-    logs = sorted(table.log10_probs.values(), reverse=True)
+    sequences = mode == SEQUENCES
+    counter = _shared_counter.get()
+    if counter is None or not counter.serves(table, size, sequences):
+        counter = _Counter(table, size, sequences)
     sizes = range(1, size + 1) if cumulative else (size,)
-    return sum(_count_exact_size(logs, s, threshold, mode == SEQUENCES) for s in sizes)
+    return sum(counter.count(s, threshold) for s in sizes)
 
 
 def brute_force_count(
@@ -167,29 +309,33 @@ def measure(
     as the float infinity sentinel.
     """
     _check_mode(mode)
+    sizes = list(sizes)
+    counted = [size for size in sizes if size in thresholds.thresholds]
+    counter = _Counter(table, max(counted), mode == SEQUENCES) if counted else None
     out = []
-    for size in sizes:
-        if size not in thresholds.thresholds:
-            logger.warning("no threshold for scope %s at size %d; skipping", thresholds.scope, size)
-            continue
-        threshold = thresholds.thresholds[size]
-        admissible = count_admissible(table, size, threshold, mode=mode, cumulative=cumulative)
-        baseline = baseline_size(is_cap, size)
-        if admissible == 0:
-            reduction = math.inf
-        else:
-            reduction = math.log10(baseline) - math.log10(admissible)
-        out.append(
-            SpaceMeasurement(
-                scope=table.scope,
-                size=size,
-                threshold=threshold,
-                admissible_count=admissible,
-                baseline_count=baseline,
-                reduction_oom=reduction,
-                mode=mode,
+    with _sharing(counter):
+        for size in sizes:
+            if size not in thresholds.thresholds:
+                logger.warning("no threshold for scope %s at size %d; skipping", thresholds.scope, size)
+                continue
+            threshold = thresholds.thresholds[size]
+            admissible = count_admissible(table, size, threshold, mode=mode, cumulative=cumulative)
+            baseline = baseline_size(is_cap, size)
+            if admissible == 0:
+                reduction = math.inf
+            else:
+                reduction = math.log10(baseline) - math.log10(admissible)
+            out.append(
+                SpaceMeasurement(
+                    scope=table.scope,
+                    size=size,
+                    threshold=threshold,
+                    admissible_count=admissible,
+                    baseline_count=baseline,
+                    reduction_oom=reduction,
+                    mode=mode,
+                )
             )
-        )
     return out
 
 

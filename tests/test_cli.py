@@ -103,6 +103,30 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["measure", "--sizes", "1..2", "--threads", "0"],
+            ["measure", "--sizes", "1..2", "--threads", "-1"],
+            ["measure", "--sizes", "0..3"],
+            ["measure", "--sizes", "1..2", "--cap", "0"],
+            ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
+        ],
+        ids=["threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0"],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
+        corpus_path = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+        )
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["-i", corpus_path, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
+
 class TestReportCommands:
     @pytest.fixture()
     def pipeline(self, tmp_path):

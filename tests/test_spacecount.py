@@ -7,8 +7,11 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probsynth import (
+    LOG10_SLACK,
     MULTISETS,
     SEQUENCES,
     Corpus,
@@ -22,6 +25,7 @@ from probsynth import (
     solution_probability,
     table_from_counts,
 )
+from probsynth.spacecount import _Counter, _sharing
 
 UNIFORM2 = table_from_counts("global", {"a": 1, "b": 1})
 SKEWED2 = table_from_counts("global", {"a": 9, "b": 1})
@@ -119,6 +123,60 @@ class TestOracleEquivalence:
                 assert count_admissible(
                     table, size, threshold, mode, cumulative=True
                 ) == brute_force_count(table, size, threshold, mode, cumulative=True)
+
+
+# Most candidates brute_force_count enumerates for one sequences check.
+_BRUTE_FORCE_SEQUENCES = 5000
+
+
+@st.composite
+def counting_cases(draw):
+    """A table of at most 8 instructions, a size of at most 8 and a threshold,
+    either anywhere in the size's range or at, or just off, a candidate's probability."""
+    size = draw(st.integers(1, 8))
+    max_k = max(k for k in range(1, 9) if k**size <= _BRUTE_FORCE_SEQUENCES)
+    counts = draw(st.lists(st.integers(1, 50), min_size=1, max_size=max_k))
+    table = table_from_counts("global", {f"x{i}": c for i, c in enumerate(counts)})
+    candidate = draw(st.lists(st.sampled_from(list(table.log10_probs)), min_size=size, max_size=size))
+    threshold = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-7, -1e-7]).map(lambda off: solution_probability(table, candidate) + off),
+            st.floats(size * table.min_log10 - 0.5, size * table.max_log10 + 0.5),
+        )
+    )
+    return table, size, threshold
+
+
+class TestSplitPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(counting_cases(), st.sampled_from([SEQUENCES, MULTISETS]), st.booleans())
+    def test_every_split_matches_brute_force(self, case, mode, cumulative):
+        table, size, threshold = case
+        expected = brute_force_count(table, size, threshold, mode, cumulative)
+        assert count_admissible(table, size, threshold, mode, cumulative) == expected
+        k = len(table)
+        for top in range(k + 1):
+            with _sharing(_Counter(table, size, mode == SEQUENCES, bottom=k - top)):
+                assert count_admissible(table, size, threshold, mode, cumulative) == expected, top
+
+    def test_large_alphabet_has_no_recursion_limit(self):
+        # 1,100 instructions whose pairs sit exactly at the threshold: a
+        # search that recursed once per instruction would go 1,100 deep.
+        counts = {"top": 4_000_000, "bottom": 1}
+        counts.update({f"g{i}": 2_000 for i in range(1_100)})
+        counts.update({f"s{i}": 2 for i in range(1_898)})
+        table = table_from_counts("global", counts)
+        assert len(table) == 3_000
+        threshold = table.max_log10 + table.min_log10
+        limit = threshold - LOG10_SLACK
+        multiplicity = {}
+        for log in table.log10_probs.values():
+            multiplicity[log] = multiplicity.get(log, 0) + 1
+        pairs = sum(
+            na * nb for a, na in multiplicity.items() for b, nb in multiplicity.items() if a + b >= limit
+        )
+        assert pairs == 2 * 3_000 - 1 + 1_100**2
+        assert count_admissible(table, 2, threshold, SEQUENCES) == pairs
 
 
 class TestCountingProperties:
