@@ -83,15 +83,17 @@ def _size_range(text: str) -> list[int]:
     return list(range(spec.lo, spec.hi + 1))
 
 
-def _parse_fractions(text: str) -> list[float]:
+def _fractions(text: str) -> list[float]:
+    """argparse type: comma-separated training fractions, each in (0, 1)."""
     out = []
     for part in text.split(","):
-        value = float(part)
+        try:
+            value = float(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid fraction {part!r}") from None
         if not 0 < value < 1:
-            raise ValueError(f"fraction {part!r} is not in (0, 1)")
+            raise argparse.ArgumentTypeError(f"fraction {part!r} is not in (0, 1)")
         out.append(value)
-    if not out:
-        raise ValueError("no fractions given")
     return out
 
 
@@ -236,13 +238,12 @@ def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
     scope = _resolve_scope(args, family)
-    sizes = args.sizes
-    max_size = max(sizes)
+    max_size = max(args.sizes)
 
     def run(pair):
         table, unit_ids = pair
         thresholds = derive_thresholds(corpus, table, unit_ids, max_size)
-        return measure(table, thresholds, sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
+        return measure(table, thresholds, args.sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
 
     measured = _map_ordered(run, _scope_units(corpus, family, scope), args.threads)
     with _atomic_output(args.output) as f:
@@ -252,7 +253,6 @@ def cmd_measure(args) -> int:
 
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.input)
-    fractions = _parse_fractions(args.fractions)
 
     def run_fraction(fraction: float):
         return validate(
@@ -264,7 +264,7 @@ def cmd_validate(args) -> int:
             probs_from_train=args.train_probs,
         )
 
-    groups = _map_ordered(run_fraction, fractions, args.threads)
+    groups = _map_ordered(run_fraction, args.fractions, args.threads)
     with _atomic_output(args.output) as f:
         write_validation_csv([r for group in groups for r in group], f)
     return 0
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-validate thresholds on held-out units")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
-    p.add_argument("--fractions", required=True, help="comma-separated training fractions in (0,1)")
+    p.add_argument("--fractions", type=_fractions, required=True, help="comma-separated training fractions in (0,1)")
     p.add_argument("--max-size", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeats", type=_positive_int, default=1, help="splits per fraction (per-repeat seeds)")

@@ -120,6 +120,8 @@ def _parse_record(line: str, lineno: int) -> ProgramUnit:
         raise CorpusFormatError(f"{where}: 'instructions' must be an array")
     if not instructions:
         raise CorpusFormatError(f"{where}: unit {unit_id!r} has an empty instruction list")
+    # One string object per instruction name: the decoder makes a new one
+    # per occurrence, and a corpus repeats each name thousands of times.
     tokens = tuple(map(sys.intern, (_check_token(tok, where) for tok in instructions)))
     return ProgramUnit(id=unit_id, instructions=tokens)
 

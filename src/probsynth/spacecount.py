@@ -52,7 +52,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import IO, Iterable
 
 from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable, fmt12
@@ -115,11 +115,7 @@ def _bottom_tables(logs: list[float], max_size: int, sequences: bool) -> list[tu
     tables = []
     for r_keys, r_weights in zip(keys, weights):
         order = sorted(range(len(r_keys)), key=r_keys.__getitem__)
-        suffix = [0] * (len(order) + 1)
-        acc = 0
-        for pos in range(len(order) - 1, -1, -1):
-            acc += r_weights[order[pos]]
-            suffix[pos] = acc
+        suffix = list(accumulate(r_weights[j] for j in reversed(order)))[::-1] + [0]
         tables.append((array("d", [r_keys[j] for j in order]), suffix))
     return tables
 

@@ -111,8 +111,9 @@ class TestExitCodes:
             ["measure", "--sizes", "0..3"],
             ["measure", "--sizes", "1..2", "--cap", "0"],
             ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
+            ["validate", "--fractions", "0,0.5", "--seed", "1"],
         ],
-        ids=["threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0"],
+        ids=["threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0", "fraction-0"],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
         corpus_path = write_corpus_lines(

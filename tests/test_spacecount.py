@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -169,9 +170,7 @@ class TestSplitPoints:
         assert len(table) == 3_000
         threshold = table.max_log10 + table.min_log10
         limit = threshold - LOG10_SLACK
-        multiplicity = {}
-        for log in table.log10_probs.values():
-            multiplicity[log] = multiplicity.get(log, 0) + 1
+        multiplicity = Counter(table.log10_probs.values())
         pairs = sum(
             na * nb for a, na in multiplicity.items() for b, nb in multiplicity.items() if a + b >= limit
         )
