@@ -15,7 +15,6 @@ from .corpus import (
     generate_zipf_corpus,
     load_corpus,
     parse_size_spec,
-    pu_size,
     ranked_instruction_id,
     save_corpus,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "measure",
     "parse_size_spec",
     "probability_range",
-    "pu_size",
     "random_program_corpus",
     "ranked_instruction_id",
     "satisfies",

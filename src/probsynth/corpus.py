@@ -15,11 +15,11 @@ import json
 import logging
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 logger = logging.getLogger(__name__)
 
@@ -59,15 +59,6 @@ class ProgramUnit:
     def unique_instructions(self) -> frozenset[str]:
         return frozenset(self.instructions)
 
-    @cached_property
-    def instruction_counts(self) -> Counter:
-        return Counter(self.instructions)
-
-
-def pu_size(pu: ProgramUnit) -> int:
-    """Total instruction occurrences in the unit, duplicates included."""
-    return len(pu.instructions)
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -98,10 +89,6 @@ class Corpus:
     @cached_property
     def unit_by_id(self) -> dict[str, ProgramUnit]:
         return {unit.id: unit for unit in self.units}
-
-    @property
-    def total_instruction_count(self) -> int:
-        return sum(len(u.instructions) for u in self.units)
 
 
 def _parse_record(line: str, lineno: int) -> ProgramUnit:
@@ -237,10 +224,10 @@ def generate_zipf_corpus(
         for _ in range(clusters):
             ranks = sorted(rng.sample(range(alphabet_size), cluster_size))
             pool_names = [names[r] for r in ranks]
-            cum = list(_accumulate(weights[r] for r in ranks))
+            cum = list(accumulate(weights[r] for r in ranks))
             pools.append((pool_names, cum))
     else:
-        pools = [(names, list(_accumulate(weights)))]
+        pools = [(names, list(accumulate(weights)))]
 
     id_width = len(str(num_units))
     units = []
@@ -250,10 +237,3 @@ def generate_zipf_corpus(
         instructions = tuple(rng.choices(pool_names, cum_weights=cum, k=size))
         units.append(ProgramUnit(id=f"u{n:0{id_width}d}", instructions=instructions))
     return Corpus(units=tuple(units))
-
-
-def _accumulate(values: Iterable[float]) -> Iterable[float]:
-    total = 0.0
-    for v in values:
-        total += v
-        yield total

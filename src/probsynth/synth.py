@@ -22,6 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -40,155 +41,51 @@ class Fault:
     reason: str
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_list(v: object) -> bool:
-    return isinstance(v, list)
+# Fault is frozen, so one shared instance per reason serves every step.
+_TYPE_MISMATCH = Fault("type-mismatch")
+_OVERFLOW = Fault("overflow")
+_EMPTY_LIST = Fault("empty-list")
+_UNDERFLOW = Fault("stack-underflow")
 
 
 def _bounded(n: int):
-    if abs(n) >= INT_LIMIT:
-        return Fault("overflow")
-    return (n,)
+    return (n,) if -INT_LIMIT < n < INT_LIMIT else _OVERFLOW
 
 
-def _need_int(v) -> bool:
-    return not _is_int(v)
-
-
-def _need_list(v) -> bool:
-    return not _is_list(v)
-
-
-def _op_add(x, y):
-    if _need_int(x) or _need_int(y):
-        return Fault("type-mismatch")
-    return _bounded(x + y)
-
-
-def _op_sub(x, y):
-    if _need_int(x) or _need_int(y):
-        return Fault("type-mismatch")
-    return _bounded(x - y)
-
-
-def _op_mul(x, y):
-    if _need_int(x) or _need_int(y):
-        return Fault("type-mismatch")
-    return _bounded(x * y)
-
-
-def _op_neg(x):
-    if _need_int(x):
-        return Fault("type-mismatch")
-    return _bounded(-x)
-
-
-def _op_inc(x):
-    if _need_int(x):
-        return Fault("type-mismatch")
-    return _bounded(x + 1)
-
-
-def _op_dec(x):
-    if _need_int(x):
-        return Fault("type-mismatch")
-    return _bounded(x - 1)
-
-
-def _list_to_int(fn):
-    def op(v):
-        if _need_list(v):
-            return Fault("type-mismatch")
-        if not v:
-            return Fault("empty-list")
-        return (fn(v),)
-
-    return op
-
-
-def _op_length(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    return (len(v),)
-
-
-def _op_sum(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    return _bounded(sum(v))
-
-
-def _op_tail(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    if not v:
-        return Fault("empty-list")
-    return (v[1:],)
-
-
-def _op_reverse(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    return (v[::-1],)
-
-
-def _op_sort(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    return (sorted(v),)
-
-
-def _op_concat(x, y):
-    if _need_list(x) or _need_list(y):
-        return Fault("type-mismatch")
-    if len(x) + len(y) > LIST_LIMIT:
-        return Fault("overflow")
-    return (x + y,)
-
-
-def _op_map_inc(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    if any(abs(e) + 1 >= INT_LIMIT for e in v):
-        return Fault("overflow")
-    return ([e + 1 for e in v],)
-
-
-def _op_filter_pos(v):
-    if _need_list(v):
-        return Fault("type-mismatch")
-    return ([e for e in v if e > 0],)
-
-
-# name -> (input arity, output arity, implementation)
+# name -> (input arity, output arity, implementation). Each implementation
+# checks its argument types (exact int or list) first, then returns the
+# values it pushes or a shared Fault.
 _OPS = {
     "push0": (0, 1, lambda: (0,)),
     "push1": (0, 1, lambda: (1,)),
     "push2": (0, 1, lambda: (2,)),
     "push3": (0, 1, lambda: (3,)),
-    "add": (2, 1, _op_add),
+    "add": (2, 1, lambda x, y: _bounded(x + y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
     "dup": (1, 2, lambda x: (x, x)),
-    "sub": (2, 1, _op_sub),
-    "mul": (2, 1, _op_mul),
+    "sub": (2, 1, lambda x, y: _bounded(x - y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
+    "mul": (2, 1, lambda x, y: _bounded(x * y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
     "swap": (2, 2, lambda x, y: (y, x)),
-    "inc": (1, 1, _op_inc),
+    "inc": (1, 1, lambda x: _bounded(x + 1) if type(x) is int else _TYPE_MISMATCH),
     "drop": (1, 0, lambda x: ()),
-    "dec": (1, 1, _op_dec),
-    "neg": (1, 1, _op_neg),
-    "length": (1, 1, _op_length),
-    "sum": (1, 1, _op_sum),
-    "head": (1, 1, _list_to_int(lambda v: v[0])),
-    "tail": (1, 1, _op_tail),
-    "reverse": (1, 1, _op_reverse),
-    "sort": (1, 1, _op_sort),
-    "concat": (2, 1, _op_concat),
-    "maximum": (1, 1, _list_to_int(max)),
-    "minimum": (1, 1, _list_to_int(min)),
-    "map_inc": (1, 1, _op_map_inc),
-    "filter_pos": (1, 1, _op_filter_pos),
+    "dec": (1, 1, lambda x: _bounded(x - 1) if type(x) is int else _TYPE_MISMATCH),
+    "neg": (1, 1, lambda x: _bounded(-x) if type(x) is int else _TYPE_MISMATCH),
+    "length": (1, 1, lambda v: (len(v),) if type(v) is list else _TYPE_MISMATCH),
+    "sum": (1, 1, lambda v: _bounded(sum(v)) if type(v) is list else _TYPE_MISMATCH),
+    "head": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[0],) if v else _EMPTY_LIST),
+    "tail": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[1:],) if v else _EMPTY_LIST),
+    "reverse": (1, 1, lambda v: (v[::-1],) if type(v) is list else _TYPE_MISMATCH),
+    "sort": (1, 1, lambda v: (sorted(v),) if type(v) is list else _TYPE_MISMATCH),
+    "concat": (2, 1, lambda x, y: (
+        _TYPE_MISMATCH if type(x) is not list or type(y) is not list
+        else (x + y,) if len(x) + len(y) <= LIST_LIMIT else _OVERFLOW
+    )),
+    "maximum": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (max(v),) if v else _EMPTY_LIST),
+    "minimum": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (min(v),) if v else _EMPTY_LIST),
+    "map_inc": (1, 1, lambda v: (
+        _TYPE_MISMATCH if type(v) is not list
+        else _OVERFLOW if any(abs(e) + 1 >= INT_LIMIT for e in v) else ([e + 1 for e in v],)
+    )),
+    "filter_pos": (1, 1, lambda v: ([e for e in v if e > 0],) if type(v) is list else _TYPE_MISMATCH),
 }
 
 # Canonical alphabet order doubles as the rank order for synthetic corpora.
@@ -202,14 +99,14 @@ def _step(stack: list, instruction: str):
     except KeyError:
         raise ValueError(f"unknown DSL instruction {instruction!r}") from None
     if len(stack) < in_arity:
-        return Fault("stack-underflow")
+        return _UNDERFLOW
     if in_arity:
         args = stack[-in_arity:]
         del stack[-in_arity:]
         result = fn(*args)
     else:
         result = fn()
-    if isinstance(result, Fault):
+    if type(result) is Fault:
         return result
     stack.extend(result)
     return None
@@ -250,9 +147,9 @@ def well_formed(program: Sequence[str], input_arity: int = 0) -> bool:
 
 
 def _check_value(value, where: str) -> None:
-    if _is_int(value):
+    if type(value) is int:
         return
-    if _is_list(value) and all(_is_int(e) for e in value):
+    if type(value) is list and all(type(e) is int for e in value):
         return
     raise ValueError(f"{where}: values must be integers or integer lists, got {value!r}")
 
@@ -566,12 +463,7 @@ def random_program_corpus(
         size_distribution = parse_size_spec(size_distribution)
 
     rng = random.Random(seed)
-    weights = [k ** -zipf_exponent for k in range(1, len(alphabet) + 1)]
-    cum = []
-    running = 0.0
-    for w in weights:
-        running += w
-        cum.append(running)
+    cum = list(accumulate(k ** -zipf_exponent for k in range(1, len(alphabet) + 1)))
 
     id_width = len(str(num_units))
     units = []

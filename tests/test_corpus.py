@@ -15,7 +15,6 @@ from probsynth import (
     generate_zipf_corpus,
     load_corpus,
     parse_size_spec,
-    pu_size,
     ranked_instruction_id,
     save_corpus,
 )
@@ -31,7 +30,7 @@ class TestLoadCorpus:
         path = write_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["add","add","len"]}'])
         corpus = load_corpus(path)
         assert len(corpus) == 1
-        assert pu_size(corpus.units[0]) == 3
+        assert corpus.units[0].size == 3
         assert corpus.alphabet == {"add", "len"}
 
     def test_empty_file(self, tmp_path):
@@ -95,7 +94,7 @@ class TestProgramUnit:
         [(("add", "add", "len"), 3), (("map",), 1), (("a",) * 5 + ("b",) * 5, 10)],
     )
     def test_pu_size(self, instructions, size):
-        assert pu_size(ProgramUnit("u", instructions)) == size
+        assert ProgramUnit("u", instructions).size == size
 
     def test_rejects_whitespace_token(self):
         with pytest.raises(CorpusFormatError):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
+from http import HTTPStatus
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from probsynth import (
+    DSL_ALPHABET,
     Fault,
     TestCase,
     TestCaseSpec,
@@ -62,6 +68,34 @@ class TestEvaluate:
             (["add"], (1, [2]), "type-mismatch"),
             (["head"], ([],), "empty-list"),
             (["drop"], (1,), "empty-stack"),
+            (["sub"], ([1], 2), "type-mismatch"),
+            (["mul"], ([], []), "type-mismatch"),
+            (["inc"], ([1],), "type-mismatch"),
+            (["dec"], ([],), "type-mismatch"),
+            (["neg"], ([3],), "type-mismatch"),
+            (["length"], (4,), "type-mismatch"),
+            (["head"], (0,), "type-mismatch"),
+            (["tail"], (0,), "type-mismatch"),
+            (["reverse"], (2,), "type-mismatch"),
+            (["sort"], (2,), "type-mismatch"),
+            (["concat"], ([1], 2), "type-mismatch"),
+            (["concat"], ([0] * 1025, 2), "type-mismatch"),
+            (["maximum"], (3,), "type-mismatch"),
+            (["minimum"], (3,), "type-mismatch"),
+            (["map_inc"], (2**63 - 1,), "type-mismatch"),
+            (["filter_pos"], (1,), "type-mismatch"),
+            (["tail"], ([],), "empty-list"),
+            (["maximum"], ([],), "empty-list"),
+            (["minimum"], ([],), "empty-list"),
+            (["add"], (2**63 - 1, 1), "overflow"),
+            (["sub"], (-(2**63 - 1), 1), "overflow"),
+            (["mul"], (2**62, 2), "overflow"),
+            (["inc"], (2**63 - 1,), "overflow"),
+            (["dec"], (-(2**63 - 1),), "overflow"),
+            (["neg"], (-(2**63),), "overflow"),
+            (["sum"], ([2**63 - 1, 1],), "overflow"),
+            (["concat"], ([0] * 1000, [0] * 25), "overflow"),
+            (["map_inc"], ([5, 2**63 - 1],), "overflow"),
         ],
     )
     def test_faults_are_values(self, program, inputs, reason):
@@ -73,6 +107,29 @@ class TestEvaluate:
         result = evaluate(program[:-1], ())
         assert isinstance(result, Fault)
         assert result.reason == "overflow"
+
+    def test_agrees_with_bench_oracle(self):
+        # The benchmark checks planted solutions with its own interpreter,
+        # written from the documented semantics; drift between the two
+        # would otherwise show only when the benchmark runs.
+        path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+        module_spec = importlib.util.spec_from_file_location("bench_oracle", path)
+        oracle = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(oracle)
+        big = 2**63 - 1
+        long_list = [big] + list(range(-299, 300))
+        stacks = [
+            (), (big,), (-big,), ([],), (long_list,), ([], []), (7, 3), (big, -big),
+            (5, [3, -1, 2]), ([3, -1, 2], 5), ([-big, 4], big), (long_list, long_list),
+        ]
+        programs = [p for n in range(1, 4) for p in product(DSL_ALPHABET, repeat=n)]
+        for program, stack in product(programs, stacks):
+            ours = evaluate(program, stack)
+            theirs = oracle.run_program(list(program), list(stack))
+            if isinstance(ours, Fault):
+                assert theirs is None, (program, stack, ours)
+            else:
+                assert type(ours) is type(theirs) and ours == theirs, (program, stack)
 
     def test_unknown_instruction_is_an_error(self):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -119,6 +176,9 @@ class TestTestCaseSpec:
     def test_rejects_non_dsl_inputs(self):
         with pytest.raises(ValueError):
             TestCaseSpec(cases=(TestCase(("text",), 1),))
+        # values are DSL values by exact type, as the instructions see them
+        with pytest.raises(ValueError, match="integers or integer lists"):
+            TestCaseSpec(cases=(TestCase((HTTPStatus.OK,), 1),))
 
     def test_round_trip(self, tmp_path):
         spec = TestCaseSpec(cases=(TestCase((5, [1, 2]), [2, 3]), TestCase((6, [0, 0]), [1, 1])))
