@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -71,6 +72,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _negative_step(text: str) -> float:
+    """argparse type: a finite float < 0, so a bad value is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (-math.inf < value < 0):
+        raise argparse.ArgumentTypeError(f"must be finite and < 0, got {text}")
     return value
 
 
@@ -386,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
     p.add_argument("--cap", type=_positive_int, default=10)
     p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
-    p.add_argument("--step", type=float, default=-2.0, help="log10 widening step per round")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--step", type=_negative_step, default=-2.0, help="log10 widening step per round (< 0)")
+    p.add_argument("--max-rounds", type=_positive_int, default=None, help="stop after this many rounds")
     p.add_argument("--no-prune", action="store_true", help="disable threshold pruning")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)

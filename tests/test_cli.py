@@ -112,8 +112,15 @@ class TestExitCodes:
             ["measure", "--sizes", "1..2", "--cap", "0"],
             ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
             ["validate", "--fractions", "0,0.5", "--seed", "1"],
+            ["synth", "--spec", "spec.json", "--step", "nan"],
+            ["synth", "--spec", "spec.json", "--step=-inf"],
+            ["synth", "--spec", "spec.json", "--step", "1"],
+            ["synth", "--spec", "spec.json", "--max-rounds", "0"],
         ],
-        ids=["threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0", "fraction-0"],
+        ids=[
+            "threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0", "fraction-0",
+            "synth-step-nan", "synth-step-minus-inf", "synth-step-positive", "synth-max-rounds-0",
+        ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
         corpus_path = write_corpus_lines(

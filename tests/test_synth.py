@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
+import random
 from http import HTTPStatus
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probsynth import (
     DSL_ALPHABET,
@@ -28,7 +33,8 @@ from probsynth import (
     synthesize,
     well_formed,
 )
-from probsynth.synth import _SubsetSearch, load_test_spec, save_test_spec
+from probsynth.probability import LOG10_SLACK
+from probsynth.synth import _step, _SubsetSearch, _values_equal, load_test_spec, save_test_spec
 
 
 class TestEvaluate:
@@ -283,12 +289,24 @@ class TestSynthesize:
         payload = report.to_json()
         assert payload["solution"] == list(report.solution)
         assert payload["nodes_expanded"] == report.nodes_expanded
+        assert payload["nodes_deduped"] == report.nodes_deduped
+        assert type(payload["nodes_deduped"]) is int
+        assert json.loads(json.dumps(payload)) == payload
 
 
 class TestWideningSchedule:
     def test_step_must_be_negative(self):
         with pytest.raises(ValueError):
             WideningSchedule(step_log10=0.5)
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, -math.inf, math.inf])
+    def test_step_must_be_finite_and_negative(self, step):
+        with pytest.raises(ValueError, match="step_log10"):
+            WideningSchedule(step_log10=step)
+
+    def test_max_rounds_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_rounds"):
+            WideningSchedule(max_rounds=0)
 
     def test_rounds_widen_monotonically(self, dsl_tables, dsl_thresholds):
         subset_id = next(iter(dsl_tables))
@@ -308,3 +326,173 @@ class TestWideningSchedule:
         active, _, at_floor = search.round_thresholds(-1000.0, 6)
         assert at_floor
         assert active[1:] == search.floors[1:]
+
+
+def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune):
+    """The depth-first search without the dominance rule, as it was before
+    the rule: the oracle showing that the rule neither loses nor changes a
+    solution."""
+    order = search.order
+    logps = search.logps
+    expected = [case.expected for case in spec.cases]
+
+    def rec(prefix, logp, states):
+        length = len(prefix) + 1
+        for instruction in order:
+            child_logp = logp + logps[instruction]
+            if prune and child_logp < tail_min[length] - LOG10_SLACK:
+                counters["pruned"] += 1
+                continue
+            counters["expanded"] += 1
+            child_states = []
+            alive = False
+            for state in states:
+                if state is None:
+                    child_states.append(None)
+                    continue
+                new_state = list(state)
+                if _step(new_state, instruction) is not None:
+                    child_states.append(None)
+                else:
+                    child_states.append(new_state)
+                    alive = True
+            if child_logp >= active[length] - LOG10_SLACK:
+                if all(
+                    state is not None and state and _values_equal(state[-1], exp)
+                    for state, exp in zip(child_states, expected)
+                ):
+                    return tuple(prefix + [instruction])
+            if length < max_size and alive:
+                prefix.append(instruction)
+                found = rec(prefix, child_logp, child_states)
+                prefix.pop()
+                if found is not None:
+                    return found
+        return None
+
+    return rec([], 0.0, [list(case.inputs) for case in spec.cases])
+
+
+def _check_against_plain(spec, family, tables, thresholds, max_size, prune):
+    """Run synthesize with and without the dominance rule, through the same
+    round loop, and assert the same outcome with no more nodes."""
+    report = synthesize(spec, family, tables, thresholds, max_size, prune=prune)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("probsynth.synth._dfs_subset", _plain_dfs_subset)
+        plain = synthesize(spec, family, tables, thresholds, max_size, prune=prune)
+    assert plain.nodes_deduped == 0
+    assert report.solution == plain.solution
+    assert report.solved_subset_id == plain.solved_subset_id
+    assert report.rounds == plain.rounds
+    assert report.threshold_schedule_used == plain.threshold_schedule_used
+    assert report.nodes_expanded <= plain.nodes_expanded
+    return report
+
+
+PROBES = ((0,), (2,), (3,), (5,), (7,))  # criterion 7's probe inputs
+
+
+@pytest.fixture(scope="module")
+def planted_fixture():
+    """Criterion 7's DSL corpus and its planted programs of sizes 3..5: six
+    per size, input-dependent, not computable by one or two instructions,
+    covered by a subset and admissible at their size's threshold."""
+    corpus = random_program_corpus(1000, "1..6", seed=29, input_arity=1, probe_inputs=PROBES)
+    family = cluster_subsets(corpus, cap=10)
+    tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
+    thresholds = {
+        s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 6) for s in family.subsets
+    }
+    easy = {
+        tuple(str(evaluate(prog, p)) for p in PROBES)
+        for size in (1, 2)
+        for prog in product(DSL_ALPHABET, repeat=size)
+    }
+    pool = random_program_corpus(20_000, "3..6", seed=101, input_arity=1, probe_inputs=PROBES)
+    planted = {3: [], 4: [], 5: []}
+    for unit in pool.units:
+        if unit.size not in planted or len(planted[unit.size]) >= 6:
+            continue
+        vec = tuple(str(evaluate(unit.instructions, p)) for p in PROBES)
+        if len(set(vec)) <= 1 or vec in easy:
+            continue
+        cover = next((s for s in family.subsets if unit.unique_instructions <= s.members), None)
+        if cover is None:
+            continue
+        base = thresholds[cover.id].thresholds.get(unit.size)
+        if base is None or solution_probability(tables[cover.id], unit.instructions) < base - 1e-9:
+            continue
+        planted[unit.size].append(unit.instructions)
+    return family, tables, thresholds, [prog for size in (3, 4, 5) for prog in planted[size]]
+
+
+class TestDominanceOracle:
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_planted_specs_match_plain_search(self, planted_fixture, prune):
+        family, tables, thresholds, planted = planted_fixture
+        assert len(planted) == 18
+        deduped = 0
+        for program in planted:
+            spec = cases_from_program(program, PROBES)
+            report = _check_against_plain(spec, family, tables, thresholds, len(program), prune)
+            assert report.solution is not None and satisfies(report.solution, spec)
+            deduped += report.nodes_deduped
+        assert deduped > 0
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, prune, seed):
+        # Integer inputs and a list output: no instruction builds a list
+        # from integers, so the whole widening schedule runs.
+        family, tables, thresholds, _ = planted_fixture
+        rng = random.Random(seed)
+        spec = TestCaseSpec(
+            cases=tuple(
+                TestCase((x,), [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))])
+                for x in rng.sample(range(-50, 51), 4)
+            )
+        )
+        report = _check_against_plain(spec, family, tables, thresholds, 4, prune)
+        assert report.solution is None and report.rounds > 1
+        assert report.nodes_deduped > 0
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_list_input_spec_matches_plain_search(self, prune):
+        alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
+        corpus = random_program_corpus(
+            120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
+        )
+        family = cluster_subsets(corpus, cap=8)
+        tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
+        thresholds = {
+            s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 4)
+            for s in family.subsets
+        }
+        spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
+        report = _check_against_plain(spec, family, tables, thresholds, 4, prune)
+        assert report.solution is not None and satisfies(report.solution, spec)
+        assert report.nodes_deduped > 0
+
+
+_SMALL_VALUES = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3))
+
+
+@st.composite
+def small_specs(draw):
+    """A spec of one to three cases over zero to two inputs: the outputs of
+    a random program of one to four instructions, or random values when
+    that program faults."""
+    arity = draw(st.integers(0, 2))
+    inputs = draw(st.lists(st.tuples(*[_SMALL_VALUES] * arity), min_size=1, max_size=3))
+    program = draw(st.lists(st.sampled_from(DSL_ALPHABET), min_size=1, max_size=4))
+    outputs = [evaluate(program, i) for i in inputs]
+    if any(isinstance(out, Fault) for out in outputs):
+        outputs = [draw(_SMALL_VALUES) for _ in inputs]
+    return TestCaseSpec(cases=tuple(TestCase(i, out) for i, out in zip(inputs, outputs)))
+
+
+class TestDominanceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs(), st.integers(1, 4), st.booleans())
+    def test_random_specs_match_plain_search(self, dsl_family, dsl_tables, dsl_thresholds, spec, max_size, prune):
+        _check_against_plain(spec, dsl_family, dsl_tables, dsl_thresholds, max_size, prune)
