@@ -23,7 +23,9 @@ from .probability import (
     LOG10_SLACK,
     ProbabilityRange,
     ProbabilityTable,
+    Scope,
     ThresholdTable,
+    build_scopes,
     derive_thresholds,
     global_instruction_probs,
     probability_range,
@@ -55,7 +57,6 @@ from .synth import (
     SearchReport,
     TestCase,
     TestCaseSpec,
-    UNPRUNED,
     WideningSchedule,
     cases_from_program,
     evaluate,
@@ -82,6 +83,7 @@ __all__ = [
     "ProbabilityTable",
     "ProgramUnit",
     "SEQUENCES",
+    "Scope",
     "SearchReport",
     "SizeSpec",
     "SpaceMeasurement",
@@ -89,11 +91,11 @@ __all__ = [
     "TestCase",
     "TestCaseSpec",
     "ThresholdTable",
-    "UNPRUNED",
     "ValidationResult",
     "WideningSchedule",
     "baseline_size",
     "brute_force_count",
+    "build_scopes",
     "cases_from_program",
     "cluster_subsets",
     "count_admissible",

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import (
-    Corpus,
     CorpusFormatError,
     generate_zipf_corpus,
     load_corpus,
@@ -30,11 +29,9 @@ from .corpus import (
 )
 from .probability import (
     ProbabilityTable,
-    ThresholdTable,
-    derive_thresholds,
+    build_scopes,
     global_instruction_probs,
     probability_range,
-    solution_probability,
     subset_instruction_probs,
     write_ranges_csv,
     write_tables_csv,
@@ -64,26 +61,26 @@ def _atomic_output(path: str):
         raise
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, so a bad value is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ranged(convert: Callable, ok: Callable, bound: str) -> Callable[[str], float]:
+    """argparse type: a value that ``convert`` parses and ``ok`` accepts, so a
+    bad value is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
 
 
-def _negative_step(text: str) -> float:
-    """argparse type: a finite float < 0, so a bad value is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not (-math.inf < value < 0):
-        raise argparse.ArgumentTypeError(f"must be finite and < 0, got {text}")
-    return value
+_positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _ranged(int, lambda v: v >= 0, ">= 0")
+_positive_float = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_negative_float = _ranged(float, lambda v: -math.inf < v < 0, "finite and < 0")
 
 
 def _size_range(text: str) -> list[int]:
@@ -120,9 +117,7 @@ def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
 
 
 def _load_family_arg(args) -> SubsetFamily | None:
-    if getattr(args, "family", None):
-        return load_family(args.family, cap=args.cap)
-    return None
+    return load_family(args.family) if args.family else None
 
 
 def _resolve_scope(args, family: SubsetFamily | None) -> str:
@@ -165,70 +160,46 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _subset_tables(corpus: Corpus, family: SubsetFamily, threads: int) -> list[ProbabilityTable]:
-    return _map_ordered(lambda s: subset_instruction_probs(corpus, s), family.subsets, threads)
-
-
 def cmd_probs(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
     scope = _resolve_scope(args, family)
     tables: list[ProbabilityTable] = []
+    skipped: list[int] = []
     if scope in ("global", "both"):
         tables.append(global_instruction_probs(corpus))
     if scope in ("subsets", "both"):
-        if args.per_size is not None:
-            for subset in family.subsets:
-                try:
-                    tables.append(subset_instruction_probs(corpus, subset, size=args.per_size))
-                except ValueError:
-                    print(
-                        f"note: subset {subset.id} has no covered units of size {args.per_size}; skipped",
-                        file=sys.stderr,
-                    )
-        else:
-            tables.extend(_subset_tables(corpus, family, args.threads))
+        for subset in family.subsets:
+            try:
+                tables.append(subset_instruction_probs(corpus, subset, size=args.per_size))
+            except ValueError:
+                if args.per_size is None:
+                    raise
+                skipped.append(subset.id)
+    if not tables:
+        raise ValueError(f"no subset has covered units of size {args.per_size}")
+    for subset_id in skipped:
+        print(f"note: subset {subset_id} has no covered units of size {args.per_size}; skipped", file=sys.stderr)
     with _atomic_output(args.output) as f:
         write_tables_csv(tables, f)
     return 0
 
 
-def _scope_units(corpus: Corpus, family: SubsetFamily | None, scope: str):
-    """Ordered (table, scope unit ids) pairs for the requested scope."""
-    if scope in ("global", "both"):
-        yield global_instruction_probs(corpus), [u.id for u in corpus.units]
-    if scope in ("subsets", "both"):
-        for subset in family.subsets:
-            yield subset_instruction_probs(corpus, subset), list(subset.covered_units)
-
-
 def cmd_thresholds(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
-    scope = _resolve_scope(args, family)
-    pairs = list(_scope_units(corpus, family, scope))
-
-    def build(pair) -> ThresholdTable:
-        table, unit_ids = pair
-        return derive_thresholds(corpus, table, unit_ids, args.max_size)
-
-    built = _map_ordered(build, pairs, args.threads)
+    scopes = build_scopes(corpus, family, _resolve_scope(args, family), args.max_size)
     with _atomic_output(args.output) as f:
-        write_thresholds_csv(built, f)
+        write_thresholds_csv([scope.thresholds for scope in scopes], f)
 
     if args.ranges:
         rows = []
-        for table, unit_ids in pairs:
+        for scope in scopes:
             observed_by_size: dict[int, list[float]] = {}
-            for unit_id in unit_ids:
-                unit = corpus.unit_by_id[unit_id]
-                if unit.size > args.max_size:
-                    continue
-                observed_by_size.setdefault(unit.size, []).append(
-                    solution_probability(table, unit.instructions)
-                )
+            for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
+                observed_by_size.setdefault(corpus.unit_by_id[unit_id].size, []).append(log_prob)
             for size in range(1, args.max_size + 1):
-                rows.append((table.scope, probability_range(table, size, observed_by_size.get(size))))
+                rows.append((scope.table.scope, probability_range(scope.table, size, observed_by_size.get(size))))
         with _atomic_output(args.ranges) as f:
             write_ranges_csv(rows, f)
 
@@ -236,28 +207,22 @@ def cmd_thresholds(args) -> int:
         with _atomic_output(args.pu_probs) as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["scope", "pu_id", "size", "log10_probability"])
-            for table, unit_ids in pairs:
-                for unit_id in unit_ids:
-                    unit = corpus.unit_by_id[unit_id]
-                    if unit.size > args.max_size:
-                        continue
-                    log_prob = solution_probability(table, unit.instructions)
-                    writer.writerow([table.scope, unit_id, str(unit.size), fmt12(log_prob)])
+            for scope in scopes:
+                for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
+                    size = corpus.unit_by_id[unit_id].size
+                    writer.writerow([scope.table.scope, unit_id, str(size), fmt12(log_prob)])
     return 0
 
 
 def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
-    scope = _resolve_scope(args, family)
-    max_size = max(args.sizes)
+    scopes = build_scopes(corpus, family, _resolve_scope(args, family), max(args.sizes))
 
-    def run(pair):
-        table, unit_ids = pair
-        thresholds = derive_thresholds(corpus, table, unit_ids, max_size)
-        return measure(table, thresholds, args.sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
+    def run(scope):
+        return measure(scope.table, scope.thresholds, args.sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
 
-    measured = _map_ordered(run, _scope_units(corpus, family, scope), args.threads)
+    measured = _map_ordered(run, scopes, args.threads)
     with _atomic_output(args.output) as f:
         write_measurements_csv([m for group in measured for m in group], f)
     return 0
@@ -286,16 +251,11 @@ def cmd_synth(args) -> int:
     corpus = load_corpus(args.input)
     spec = load_test_spec(args.spec)
     family = cluster_subsets(corpus, cap=args.cap)
-    tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
-    thresholds = {
-        s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), args.max_size)
-        for s in family.subsets
-    }
+    scopes = build_scopes(corpus, family, "subsets", args.max_size)
     if args.no_prune:
-        schedule = WideningSchedule(floor_log10=-float("inf"))
-    else:
-        schedule = WideningSchedule(step_log10=args.step, max_rounds=args.max_rounds)
-    report = synthesize(spec, family, tables, thresholds, args.max_size, schedule)
+        scopes = [scope.without_thresholds() for scope in scopes]
+    schedule = WideningSchedule(step_log10=args.step, max_rounds=args.max_rounds)
+    report = synthesize(spec, scopes, args.max_size, schedule)
     with _atomic_output(args.output) as f:
         json.dump(report.to_json(), f, indent=2)
         f.write("\n")
@@ -307,7 +267,8 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads (default 1)")
+    text = "worker threads for measure's scopes and validate's fractions; probs and thresholds ignore it"
+    p.add_argument("--threads", type=_positive_int, default=1, help=text + " (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,13 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
-    p.add_argument("--units", type=int, required=True, help="number of program units")
-    p.add_argument("--alphabet", type=int, default=100, help="alphabet size (ranked)")
-    p.add_argument("--exponent", type=float, default=1.0, help="Zipf exponent")
+    p.add_argument("--units", type=_positive_int, required=True, help="number of program units")
+    p.add_argument("--alphabet", type=_positive_int, default=100, help="alphabet size (ranked)")
+    p.add_argument("--exponent", type=_positive_float, default=1.0, help="Zipf exponent (> 0)")
     p.add_argument("--sizes", default="1..40", help="unit size range A..B (default 1..40)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--clusters", type=int, default=0, help="overlapping instruction pools (0 = none)")
-    p.add_argument("--cluster-size", type=int, default=10, help="instructions per pool")
+    p.add_argument("--clusters", type=_non_negative_int, default=0, help="overlapping instruction pools (0 = none)")
+    p.add_argument("--cluster-size", type=_positive_int, default=10, help="instructions per pool")
     p.add_argument(
         "--dsl-programs",
         action="store_true",
@@ -342,11 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probs", help="instruction probability tables as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--cap", type=_positive_int, default=None, help="cap recorded in the family file")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument(
         "--per-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="restrict per-subset counts to covered units of exactly this size",
     )
@@ -357,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="per-size solution probability thresholds as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--cap", type=_positive_int, default=None, help="cap recorded in the family file")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
     p.add_argument("--ranges", help="also write possible/observed probability ranges CSV here")
@@ -398,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
     p.add_argument("--cap", type=_positive_int, default=10)
     p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
-    p.add_argument("--step", type=_negative_step, default=-2.0, help="log10 widening step per round (< 0)")
+    p.add_argument("--step", type=_negative_float, default=-2.0, help="log10 widening step per round (< 0)")
     p.add_argument("--max-rounds", type=_positive_int, default=None, help="stop after this many rounds")
-    p.add_argument("--no-prune", action="store_true", help="disable threshold pruning")
+    p.add_argument("--no-prune", action="store_true", help="no thresholds: every size at its floor (IS space only)")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)
 

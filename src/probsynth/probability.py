@@ -6,6 +6,13 @@ is the product over all of its instruction occurrences, duplicates
 included. Everything is stored and combined in the log10 domain, since
 solution probabilities at size 40 fall far below the linear float range.
 
+A scope is the whole corpus or one instruction subset. ``build_scopes``
+is the one way to make them: each ``Scope`` holds its table, its units,
+their log10 solution probabilities (each computed once) and the per-size
+thresholds, the minima of those probabilities. A scope with an empty
+threshold table puts every size at its floor, the lowest probability the
+table allows, so nothing is cut.
+
 Threshold comparison convention used throughout the package: a candidate
 is admissible when its log10 solution probability is >= threshold minus
 LOG10_SLACK, so float rounding never excludes a corpus unit from the
@@ -17,12 +24,13 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 from .corpus import Corpus
-from .subsets import InstructionSubset
+from .subsets import InstructionSubset, SubsetFamily
 
 # Log-domain slack applied toward inclusion in threshold comparisons.
 LOG10_SLACK = 1e-9
@@ -154,6 +162,35 @@ class ThresholdTable:
         return list(self.thresholds)
 
 
+def _unit_log_probs(
+    corpus: Corpus, table: ProbabilityTable, scope_units: Iterable[str], max_size: int
+) -> tuple[tuple[str, ...], array, ThresholdTable]:
+    """The scope units of at most ``max_size`` instructions, their log10
+    solution probabilities, and the per-size minima of those."""
+    unit_ids = []
+    log_probs = array("d")
+    minima: dict[int, float] = {}
+    support: dict[int, int] = {}
+    for unit_id in scope_units:
+        unit = corpus.unit_by_id[unit_id]
+        if unit.size > max_size:
+            continue
+        log_prob = solution_probability(table, unit.instructions)
+        unit_ids.append(unit_id)
+        log_probs.append(log_prob)
+        size = unit.size
+        if size not in minima or log_prob < minima[size]:
+            minima[size] = log_prob
+        support[size] = support.get(size, 0) + 1
+    ordered = sorted(minima)
+    thresholds = ThresholdTable(
+        scope=table.scope,
+        thresholds={s: minima[s] for s in ordered},
+        support_counts={s: support[s] for s in ordered},
+    )
+    return tuple(unit_ids), log_probs, thresholds
+
+
 def derive_thresholds(
     corpus: Corpus,
     table: ProbabilityTable,
@@ -168,23 +205,45 @@ def derive_thresholds(
     """
     if not scope_units:
         raise ValueError("scope_units must be non-empty")
-    minima: dict[int, float] = {}
-    support: dict[int, int] = {}
-    for unit_id in scope_units:
-        unit = corpus.unit_by_id[unit_id]
-        if unit.size > max_size:
-            continue
-        log_prob = solution_probability(table, unit.instructions)
-        size = unit.size
-        if size not in minima or log_prob < minima[size]:
-            minima[size] = log_prob
-        support[size] = support.get(size, 0) + 1
-    ordered = sorted(minima)
-    return ThresholdTable(
-        scope=table.scope,
-        thresholds={s: minima[s] for s in ordered},
-        support_counts={s: support[s] for s in ordered},
-    )
+    return _unit_log_probs(corpus, table, scope_units, max_size)[2]
+
+
+@dataclass(frozen=True)
+class Scope:
+    """One probability scope: the whole corpus (``subset_id`` None) or one
+    instruction subset.
+
+    ``unit_ids`` are the scope's units of at most the builder's max size,
+    in scope order, and ``unit_log10_probs`` their solution probabilities
+    under ``table``, position for position.
+    """
+
+    subset_id: int | None
+    table: ProbabilityTable
+    unit_ids: tuple[str, ...]
+    unit_log10_probs: array
+    thresholds: ThresholdTable
+
+    def without_thresholds(self) -> Scope:
+        """The same scope with an empty threshold table: every size at its floor."""
+        return replace(self, thresholds=ThresholdTable(self.table.scope, {}, {}))
+
+
+def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_size: int) -> list[Scope]:
+    """The global scope, the family's subset scopes in family order, or both
+    (``which`` = "global", "subsets" or "both"), with thresholds for sizes
+    up to ``max_size``."""
+    if which not in (GLOBAL_SCOPE, "subsets", "both"):
+        raise ValueError(f"unknown scope selection {which!r}")
+    sources = []
+    if which in (GLOBAL_SCOPE, "both"):
+        sources.append((None, global_instruction_probs(corpus), [u.id for u in corpus.units]))
+    if which in ("subsets", "both"):
+        sources.extend((s.id, subset_instruction_probs(corpus, s), s.covered_units) for s in family.subsets)
+    return [
+        Scope(subset_id, table, *_unit_log_probs(corpus, table, unit_ids, max_size))
+        for subset_id, table, unit_ids in sources
+    ]
 
 
 @dataclass(frozen=True)

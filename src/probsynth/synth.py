@@ -5,15 +5,18 @@ stack language over integers and integer lists. Evaluation faults (stack
 underflow, type mismatch, overflow, empty-list access) are ordinary values
 rather than exceptions, so candidate programs can be executed blindly.
 
-The synthesizer walks each instruction subset in turn, extending partial
-programs depth-first in descending instruction-probability order and
-testing each generated candidate that clears the threshold for its size.
+The synthesizer walks each subset scope (``probability.build_scopes``) in
+turn, extending partial programs depth-first in descending
+instruction-probability order and testing each generated candidate that
+clears the threshold for its size.
 A partial of length L is cut when its solution probability falls below
 every threshold it could still reach (the per-size thresholds for sizes L
 and up); since adding instructions only lowers the probability, this cut
 never removes a candidate the thresholds admit. If a full sweep at one
 threshold level fails, all thresholds are widened by a fixed log10 step
-and the sweep repeats, down to the minimum possible probability per size.
+and the sweep repeats, down to the minimum possible probability per size
+(its floor). A size with no threshold sits at its floor from the start,
+so scopes without thresholds search the whole subset space in one round.
 
 Within one subset and round, a prefix whose stack states on every test
 case equal those of an earlier prefix of the same length, at no higher
@@ -34,11 +37,10 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 from .corpus import Corpus, ProgramUnit, SizeSpec, parse_size_spec
-from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable
-from .subsets import SubsetFamily
+from .probability import LOG10_SLACK, Scope
 
 INT_LIMIT = 2**63
 LIST_LIMIT = 1024
@@ -247,28 +249,17 @@ def save_test_spec(spec: TestCaseSpec, out: IO[str] | str | Path) -> None:
 class WideningSchedule:
     """Iterative threshold widening: each round lowers every size's threshold
     by ``step_log10`` until it reaches its floor (the minimum possible
-    solution probability at that size, unless overridden).
-
-    A floor of -inf disables pruning entirely: a single round runs with no
-    threshold at all.
+    solution probability at that size).
     """
 
     step_log10: float = -2.0
     max_rounds: int | None = None
-    floor_log10: float | None = None
 
     def __post_init__(self) -> None:
         if not (-math.inf < self.step_log10 < 0):
             raise ValueError(f"step_log10 must be finite and negative, got {self.step_log10}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-
-    @property
-    def prunes(self) -> bool:
-        return self.floor_log10 != -math.inf
-
-
-UNPRUNED = WideningSchedule(floor_log10=-math.inf)
 
 
 @dataclass
@@ -296,20 +287,17 @@ class SearchReport:
 
 
 class _SubsetSearch:
-    """Per-subset search state: extension order, log-probs, threshold bases."""
+    """Per-scope search state: extension order, log-probs, threshold bases."""
 
-    def __init__(self, subset_id, table: ProbabilityTable, thresholds: ThresholdTable, max_size: int, floor_override):
-        self.subset_id = subset_id
-        ordered = sorted(table.log10_probs.items(), key=lambda kv: (-kv[1], kv[0]))
+    def __init__(self, scope: Scope, max_size: int):
+        self.subset_id = scope.subset_id
+        ordered = sorted(scope.table.log10_probs.items(), key=lambda kv: (-kv[1], kv[0]))
         self.order = [instr for instr, _ in ordered]
         self.logps = dict(ordered)
         min_log = min(self.logps.values())
-        self.floors = [0.0] + [
-            floor_override if floor_override is not None else s * min_log
-            for s in range(1, max_size + 1)
-        ]
+        self.floors = [s * min_log for s in range(max_size + 1)]
         self.bases = [0.0] + [
-            thresholds.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)
+            scope.thresholds.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)
         ]
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
@@ -324,19 +312,19 @@ class _SubsetSearch:
 
 def synthesize(
     spec: TestCaseSpec,
-    family: SubsetFamily,
-    tables: Mapping[int, ProbabilityTable],
-    thresholds: Mapping[int, ThresholdTable],
+    scopes: Sequence[Scope],
     max_size: int,
     schedule: WideningSchedule | None = None,
     prune: bool = True,
 ) -> SearchReport:
     """Search for a program of at most ``max_size`` instructions satisfying the spec.
 
-    Subsets are tried in family order within each widening round; the first
-    candidate that is admissible at its size and passes every test case
-    wins. An exhausted schedule (all thresholds at their floors with no
-    solution) yields an empty report.
+    Scopes are tried in the given order within each widening round; the
+    first candidate that is admissible at its size and passes every test
+    case wins. An exhausted schedule (all thresholds at their floors with
+    no solution) yields an empty report. Scopes without thresholds
+    (``Scope.without_thresholds``) start at their floors, so one round
+    tests every program over each scope's instructions.
 
     The thresholds define which candidates are tested; the admissible cut
     of whole branches is the search optimization on top. ``prune=False``
@@ -361,37 +349,25 @@ def synthesize(
     if schedule is None:
         schedule = WideningSchedule()
 
-    searches = [
-        _SubsetSearch(s.id, tables[s.id], thresholds[s.id], max_size, schedule.floor_log10)
-        for s in family.subsets
-    ]
+    searches = [_SubsetSearch(scope, max_size) for scope in scopes]
 
     counters = {"expanded": 0, "pruned": 0, "deduped": 0}
     schedule_used: list[float] = []
     solution: tuple[str, ...] | None = None
     solved_subset: int | None = None
-    rounds = 0
-
-    round_index = 0
-    while True:
-        offset = round_index * schedule.step_log10 if schedule.prunes else -math.inf
+    while solution is None and len(schedule_used) != schedule.max_rounds:  # None: no limit
+        offset = len(schedule_used) * schedule.step_log10
         schedule_used.append(offset)
-        rounds += 1
         all_floored = True
         for search in searches:
             active, tail_min, at_floor = search.round_thresholds(offset, max_size)
-            if not at_floor:
-                all_floored = False
-            found = _dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
-            if found is not None:
-                solution = found
+            all_floored &= at_floor
+            solution = _dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
+            if solution is not None:
                 solved_subset = search.subset_id
                 break
-        if solution is not None or all_floored or not schedule.prunes:
+        if all_floored:
             break
-        if schedule.max_rounds is not None and rounds >= schedule.max_rounds:
-            break
-        round_index += 1
 
     return SearchReport(
         solution=solution,
@@ -399,7 +375,7 @@ def synthesize(
         nodes_pruned_by_threshold=counters["pruned"],
         nodes_deduped=counters["deduped"],
         threshold_schedule_used=schedule_used,
-        rounds=rounds,
+        rounds=len(schedule_used),
         solved_subset_id=solved_subset,
     )
 

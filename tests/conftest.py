@@ -1,16 +1,14 @@
-"""Shared corpus fixtures; session-scoped since generation is deterministic."""
+"""Shared corpus fixtures; session-scoped since generation is deterministic.
+
+Scope fixtures are lists in family order; cluster_subsets numbers subsets
+from 0, so ``scopes[subset.id]`` is that subset's scope.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from probsynth import (
-    cluster_subsets,
-    derive_thresholds,
-    generate_zipf_corpus,
-    random_program_corpus,
-    subset_instruction_probs,
-)
+from probsynth import build_scopes, cluster_subsets, generate_zipf_corpus, random_program_corpus
 
 
 @pytest.fixture(scope="session")
@@ -31,20 +29,8 @@ def clustered_family(clustered_corpus):
 
 
 @pytest.fixture(scope="session")
-def clustered_tables(clustered_corpus, clustered_family):
-    return {
-        s.id: subset_instruction_probs(clustered_corpus, s) for s in clustered_family.subsets
-    }
-
-
-@pytest.fixture(scope="session")
-def clustered_thresholds(clustered_corpus, clustered_family, clustered_tables):
-    return {
-        s.id: derive_thresholds(
-            clustered_corpus, clustered_tables[s.id], list(s.covered_units), 30
-        )
-        for s in clustered_family.subsets
-    }
+def clustered_scopes(clustered_corpus, clustered_family):
+    return build_scopes(clustered_corpus, clustered_family, "subsets", 30)
 
 
 @pytest.fixture(scope="session")
@@ -59,13 +45,5 @@ def dsl_family(dsl_corpus):
 
 
 @pytest.fixture(scope="session")
-def dsl_tables(dsl_corpus, dsl_family):
-    return {s.id: subset_instruction_probs(dsl_corpus, s) for s in dsl_family.subsets}
-
-
-@pytest.fixture(scope="session")
-def dsl_thresholds(dsl_corpus, dsl_family, dsl_tables):
-    return {
-        s.id: derive_thresholds(dsl_corpus, dsl_tables[s.id], list(s.covered_units), 6)
-        for s in dsl_family.subsets
-    }
+def dsl_scopes(dsl_corpus, dsl_family):
+    return build_scopes(dsl_corpus, dsl_family, "subsets", 6)

@@ -24,6 +24,7 @@ from probsynth import (
     SEQUENCES,
     baseline_size,
     brute_force_count,
+    build_scopes,
     cases_from_program,
     cli,
     cluster_subsets,
@@ -35,7 +36,6 @@ from probsynth import (
     random_program_corpus,
     satisfies,
     solution_probability,
-    subset_instruction_probs,
     synthesize,
     table_from_counts,
     validate,
@@ -73,8 +73,8 @@ class TestCriterion1OracleEquivalence:
 
 
 class TestCriterion2Normalization:
-    def test_all_tables_sum_to_one(self, clustered_corpus, clustered_tables):
-        tables = [global_instruction_probs(clustered_corpus)] + list(clustered_tables.values())
+    def test_all_tables_sum_to_one(self, clustered_corpus, clustered_scopes):
+        tables = [global_instruction_probs(clustered_corpus)] + [s.table for s in clustered_scopes]
         worst = max(abs(sum(10**lp for lp in t.log10_probs.values()) - 1.0) for t in tables)
         report(
             2,
@@ -85,9 +85,7 @@ class TestCriterion2Normalization:
 
 
 class TestCriterion3ByConstructionCoverage:
-    def test_every_scope_unit_clears_threshold(
-        self, clustered_corpus, clustered_family, clustered_tables, clustered_thresholds
-    ):
+    def test_every_scope_unit_clears_threshold(self, clustered_corpus, clustered_family, clustered_scopes):
         exceptions = 0
         checked = 0
         table = global_instruction_probs(clustered_corpus)
@@ -99,8 +97,8 @@ class TestCriterion3ByConstructionCoverage:
             if solution_probability(table, unit.instructions) < thr.thresholds[unit.size]:
                 exceptions += 1
         for subset in clustered_family.subsets:
-            sub_table = clustered_tables[subset.id]
-            sub_thr = clustered_thresholds[subset.id]
+            sub_table = clustered_scopes[subset.id].table
+            sub_thr = clustered_scopes[subset.id].thresholds
             for uid in subset.covered_units:
                 unit = clustered_corpus.unit_by_id[uid]
                 checked += 1
@@ -116,13 +114,13 @@ class TestCriterion3ByConstructionCoverage:
 
 
 class TestCriterion4ThresholdExtremes:
-    def test_above_max_empty_below_min_full(self, clustered_tables):
+    def test_above_max_empty_below_min_full(self, clustered_scopes):
         rng = random.Random(44)
         cases = []
         for _ in range(10):
             k = rng.randint(2, 6)
             cases.append(table_from_counts("global", {f"x{i}": rng.randint(1, 30) for i in range(k)}))
-        cases.extend(list(clustered_tables.values())[:5])
+        cases.extend(s.table for s in clustered_scopes[:5])
         checked = 0
         for table in cases:
             for size in (1, 3, 11, 40):
@@ -138,16 +136,13 @@ class TestCriterion4ThresholdExtremes:
 
 
 class TestCriterion5ReductionTrend:
-    def test_median_reduction_positive_and_rising(
-        self, clustered_corpus, clustered_family, clustered_tables, clustered_thresholds
-    ):
+    def test_median_reduction_positive_and_rising(self, clustered_family, clustered_scopes):
         started = time.monotonic()
         sizes = list(range(5, 21))
         reductions = {s: [] for s in sizes}
         for subset in clustered_family.subsets:
-            table = clustered_tables[subset.id]
-            thr = clustered_thresholds[subset.id]
-            for m in measure(table, thr, sizes, is_cap=clustered_family.cap):
+            scope = clustered_scopes[subset.id]
+            for m in measure(scope.table, scope.thresholds, sizes, is_cap=clustered_family.cap):
                 reductions[m.size].append(m.reduction_oom)
         elapsed = time.monotonic() - started
         medians = {s: statistics.median(v) for s, v in reductions.items() if v}
@@ -193,16 +188,11 @@ PROBES = ((0,), (2,), (3,), (5,), (7,))
 def synth_fixture():
     corpus = random_program_corpus(1000, "1..6", seed=29, input_arity=1, probe_inputs=PROBES)
     family = cluster_subsets(corpus, cap=10)
-    tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
-    thresholds = {
-        s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 6)
-        for s in family.subsets
-    }
-    return corpus, family, tables, thresholds
+    return corpus, family, build_scopes(corpus, family, "subsets", 6)
 
 
 class TestCriterion7SynthesizerPruneBenefit:
-    def _planted_specs(self, family, tables, thresholds):
+    def _planted_specs(self, family, scopes):
         """Planted programs drawn from the corpus distribution: sizes 3..6,
         input-dependent, not computable by any program of at most two
         instructions, covered by a family subset, and admissible at their
@@ -222,24 +212,22 @@ class TestCriterion7SynthesizerPruneBenefit:
             if not covers:
                 continue
             cover = covers[0]
-            log_prob = solution_probability(tables[cover.id], unit.instructions)
-            base = thresholds[cover.id].thresholds.get(unit.size)
+            log_prob = solution_probability(scopes[cover.id].table, unit.instructions)
+            base = scopes[cover.id].thresholds.thresholds.get(unit.size)
             if base is None or log_prob < base - 1e-9:
                 continue
             by_size[unit.size].append((unit, cover.id, log_prob, base))
         return [entry for size in (3, 4, 5, 6) for entry in by_size[size][:6]]
 
     def test_soundness_strict_prune_benefit_and_safety(self, synth_fixture):
-        corpus, family, tables, thresholds = synth_fixture
-        planted = self._planted_specs(family, tables, thresholds)
+        corpus, family, scopes = synth_fixture
+        planted = self._planted_specs(family, scopes)
         assert len(planted) >= 20, f"need at least 20 planted specs, got {len(planted)}"
         n_strict = n_sound = n_safe = 0
         for unit, cover_id, log_prob, base in planted:
             spec = cases_from_program(unit.instructions, PROBES)
-            pruned = synthesize(spec, family, tables, thresholds, max_size=unit.size)
-            baseline = synthesize(
-                spec, family, tables, thresholds, max_size=unit.size, prune=False
-            )
+            pruned = synthesize(spec, scopes, max_size=unit.size)
+            baseline = synthesize(spec, scopes, max_size=unit.size, prune=False)
             if pruned.solution is not None and satisfies(pruned.solution, spec):
                 n_sound += 1
             if pruned.nodes_expanded < baseline.nodes_expanded:

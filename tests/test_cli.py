@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from probsynth import cli, load_corpus, load_family
-from probsynth.synth import TestCase, TestCaseSpec, save_test_spec
+from probsynth import build_scopes, cli, cluster_subsets, load_corpus, load_family, synthesize
+from probsynth.synth import TestCase, TestCaseSpec, load_test_spec, save_test_spec
 
 
 def run(args):
@@ -110,6 +110,7 @@ class TestExitCodes:
             ["measure", "--sizes", "1..2", "--threads", "-1"],
             ["measure", "--sizes", "0..3"],
             ["measure", "--sizes", "1..2", "--cap", "0"],
+            ["probs", "--per-size", "0"],
             ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
             ["validate", "--fractions", "0,0.5", "--seed", "1"],
             ["synth", "--spec", "spec.json", "--step", "nan"],
@@ -118,7 +119,8 @@ class TestExitCodes:
             ["synth", "--spec", "spec.json", "--max-rounds", "0"],
         ],
         ids=[
-            "threads-0", "threads-negative", "sizes-from-0", "cap-0", "validate-max-size-0", "fraction-0",
+            "threads-0", "threads-negative", "sizes-from-0", "cap-0", "probs-per-size-0",
+            "validate-max-size-0", "fraction-0",
             "synth-step-nan", "synth-step-minus-inf", "synth-step-positive", "synth-max-rounds-0",
         ],
     )
@@ -133,6 +135,43 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--units", "0"],
+            ["--units", "10", "--alphabet", "0"],
+            ["--units", "10", "--clusters", "2", "--cluster-size", "0"],
+            ["--units", "10", "--clusters", "-1"],
+            ["--units", "10", "--exponent", "nan"],
+        ],
+        ids=["units-0", "alphabet-0", "cluster-size-0", "clusters-negative", "exponent-nan"],
+    )
+    def test_gen_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "c.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen", "--seed", "1", *args, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
+    def test_probs_per_size_without_tables_is_runtime_error(self, tmp_path, capsys):
+        corpus_path = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+        )
+        family_path = tmp_path / "f.jsonl"
+        assert run(["cluster", "-i", corpus_path, "-o", str(family_path)]) == 0
+        out = tmp_path / "p.csv"
+        rc = run([
+            "probs", "-i", corpus_path, "--family", str(family_path),
+            "--scope", "subsets", "--per-size", "99", "-o", str(out),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestReportCommands:
@@ -238,8 +277,16 @@ class TestSynthCommand:
             "synth", "--spec", str(spec_path), "-i", str(corpus_path),
             "--cap", "8", "--max-size", "3", "--no-prune", "-o", str(report_path),
         ]) == 0
-        report = json.loads(report_path.read_text())
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(report_path.read_text(), parse_constant=no_constant)
         assert report["nodes_pruned_by_threshold"] == 0
+        # --no-prune is synthesize on threshold-free scopes.
+        corpus = load_corpus(corpus_path)
+        scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 3)
+        direct = synthesize(load_test_spec(spec_path), [s.without_thresholds() for s in scopes], 3)
+        assert report["nodes_expanded"] == direct.nodes_expanded
 
 
 class TestThreadsDeterminism:

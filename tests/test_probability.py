@@ -11,6 +11,7 @@ import pytest
 from probsynth import (
     Corpus,
     ProgramUnit,
+    build_scopes,
     cluster_subsets,
     derive_thresholds,
     global_instruction_probs,
@@ -77,8 +78,8 @@ class TestSubsetProbs:
         with pytest.raises(ValueError):
             subset_instruction_probs(corpus, family.subsets[0], size=7)
 
-    def test_all_family_tables_normalized(self, clustered_tables):
-        for table in clustered_tables.values():
+    def test_all_family_tables_normalized(self, clustered_scopes):
+        for table in (s.table for s in clustered_scopes):
             assert abs(sum(10**lp for lp in table.log10_probs.values()) - 1.0) < 1e-9
 
 
@@ -170,6 +171,40 @@ class TestDeriveThresholds:
             derive_thresholds(corpus, table, [], max_size=5)
 
 
+class TestBuildScopes:
+    @pytest.mark.parametrize("which", ["global", "subsets", "both"])
+    def test_matches_tables_and_derive_thresholds(self, clustered_corpus, clustered_family, which):
+        corpus = clustered_corpus
+        expected = []
+        if which in ("global", "both"):
+            expected.append((None, global_instruction_probs(corpus), [u.id for u in corpus.units]))
+        if which in ("subsets", "both"):
+            expected.extend(
+                (s.id, subset_instruction_probs(corpus, s), list(s.covered_units)) for s in clustered_family.subsets
+            )
+        # max size 20 of the corpus's 30, so oversize units are filtered
+        scopes = build_scopes(corpus, clustered_family, which, 20)
+        assert [s.subset_id for s in scopes] == [subset_id for subset_id, _, _ in expected]
+        for scope, (_, table, unit_ids) in zip(scopes, expected):
+            assert scope.table == table
+            assert scope.thresholds == derive_thresholds(corpus, table, unit_ids, 20)
+            kept = [uid for uid in unit_ids if corpus.unit_by_id[uid].size <= 20]
+            assert list(scope.unit_ids) == kept
+            assert list(scope.unit_log10_probs) == [
+                solution_probability(table, corpus.unit_by_id[uid].instructions) for uid in kept
+            ]
+
+    def test_without_thresholds(self, clustered_corpus):
+        [scope] = build_scopes(clustered_corpus, None, "global", 30)
+        bare = scope.without_thresholds()
+        assert bare.thresholds.thresholds == {} and bare.thresholds.scope == scope.table.scope
+        assert bare.table == scope.table and bare.unit_ids == scope.unit_ids
+
+    def test_unknown_selection_rejected(self, clustered_corpus):
+        with pytest.raises(ValueError, match="scope selection"):
+            build_scopes(clustered_corpus, None, "auto", 30)
+
+
 class TestProbabilityRange:
     def test_two_instruction_table(self):
         table = table_from_counts("global", {"a": 9, "b": 1})
@@ -183,9 +218,9 @@ class TestProbabilityRange:
         assert r.min_possible == table.min_log10
         assert r.max_possible == table.max_log10
 
-    def test_observed_summary_within_possible(self, clustered_corpus, clustered_family, clustered_tables):
+    def test_observed_summary_within_possible(self, clustered_corpus, clustered_family, clustered_scopes):
         subset = clustered_family.subsets[0]
-        table = clustered_tables[subset.id]
+        table = clustered_scopes[subset.id].table
         observed = [
             solution_probability(table, clustered_corpus.unit_by_id[uid].instructions)
             for uid in subset.covered_units

@@ -19,17 +19,15 @@ from probsynth import (
     Fault,
     TestCase,
     TestCaseSpec,
-    UNPRUNED,
     WideningSchedule,
+    build_scopes,
     cases_from_program,
     cluster_subsets,
-    derive_thresholds,
     evaluate,
     random_program_corpus,
     satisfies,
     solution_probability,
     stack_effect,
-    subset_instruction_probs,
     synthesize,
     well_formed,
 )
@@ -202,63 +200,61 @@ class TestTestCaseSpec:
 
 
 class TestSynthesize:
-    def test_finds_constant_program(self, dsl_corpus, dsl_family, dsl_tables, dsl_thresholds):
+    def test_finds_constant_program(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 3),))
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=3)
+        report = synthesize(spec, dsl_scopes, max_size=3)
         assert report.solution is not None
         assert len(report.solution) <= 3
         assert satisfies(report.solution, spec)
         assert report.nodes_expanded >= 1
-        baseline = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=3, prune=False)
+        baseline = synthesize(spec, dsl_scopes, max_size=3, prune=False)
         assert report.nodes_expanded <= baseline.nodes_expanded
 
-    def test_pruned_run_never_expands_more(self, dsl_corpus, dsl_family, dsl_tables, dsl_thresholds):
+    def test_pruned_run_never_expands_more(self, dsl_corpus, dsl_scopes):
         # prune=False keeps the same admissible candidate space but never
         # cuts branches, so both runs return the same solution and the cut
         # can only save work
         planted = next(u for u in dsl_corpus.units if u.size == 4)
         spec = cases_from_program(planted.instructions, [()])
-        pruned = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=4)
-        baseline = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=4, prune=False)
+        pruned = synthesize(spec, dsl_scopes, max_size=4)
+        baseline = synthesize(spec, dsl_scopes, max_size=4, prune=False)
         assert pruned.solution == baseline.solution
         assert pruned.solution is not None
         assert satisfies(pruned.solution, spec)
         assert baseline.nodes_pruned_by_threshold == 0
         assert pruned.nodes_expanded <= baseline.nodes_expanded
 
-    def test_threshold_free_schedule_never_prunes(self, dsl_family, dsl_tables, dsl_thresholds):
+    def test_threshold_free_schedule_never_prunes(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 7),))
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=4, schedule=UNPRUNED)
+        report = synthesize(spec, [s.without_thresholds() for s in dsl_scopes], max_size=4)
         assert report.nodes_pruned_by_threshold == 0
         assert report.rounds == 1
 
-    def test_planted_program_recovered(self, dsl_corpus, dsl_family, dsl_tables, dsl_thresholds):
+    def test_planted_program_recovered(self, dsl_corpus, dsl_family, dsl_scopes):
         planted = next(u for u in dsl_corpus.units if u.size == 6)
         spec = cases_from_program(planted.instructions, [()])
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=6)
+        report = synthesize(spec, dsl_scopes, max_size=6)
         assert report.solution is not None
         assert satisfies(report.solution, spec)
         # prune-safety: the planted unit clears its own size's threshold in
         # the subset that covers it
         cover = next(s for s in dsl_family.subsets if planted.id in s.covered_units)
-        log_prob = solution_probability(dsl_tables[cover.id], planted.instructions)
-        assert log_prob >= dsl_thresholds[cover.id].thresholds[planted.size] - 1e-9
+        log_prob = solution_probability(dsl_scopes[cover.id].table, planted.instructions)
+        assert log_prob >= dsl_scopes[cover.id].thresholds.thresholds[planted.size] - 1e-9
 
-    def test_found_solution_clears_active_threshold(
-        self, dsl_family, dsl_tables, dsl_thresholds
-    ):
+    def test_found_solution_clears_active_threshold(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 5),))
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=4)
+        report = synthesize(spec, dsl_scopes, max_size=4)
         assert report.solution is not None and report.rounds == 1
-        table = dsl_tables[report.solved_subset_id]
-        thr = dsl_thresholds[report.solved_subset_id]
+        table = dsl_scopes[report.solved_subset_id].table
+        thr = dsl_scopes[report.solved_subset_id].thresholds
         size = len(report.solution)
         base = thr.thresholds.get(size, size * table.min_log10)
         assert solution_probability(table, report.solution) >= base - 1e-9
 
-    def test_unsatisfiable_spec_exhausts_schedule(self, dsl_family, dsl_tables, dsl_thresholds):
+    def test_unsatisfiable_spec_exhausts_schedule(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((5,), "impossible"),))
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=3)
+        report = synthesize(spec, dsl_scopes, max_size=3)
         assert report.solution is None
         assert report.rounds == len(report.threshold_schedule_used)
         assert report.rounds >= 1
@@ -270,22 +266,17 @@ class TestSynthesize:
         corpus = random_program_corpus(
             120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
         )
-        family = cluster_subsets(corpus, cap=8)
-        tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
-        thresholds = {
-            s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 3)
-            for s in family.subsets
-        }
+        scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 3)
         spec = TestCaseSpec(
             cases=(TestCase(([3, 1, 2],), [1, 2, 3]), TestCase(([9, 4],), [4, 9]))
         )
-        report = synthesize(spec, family, tables, thresholds, max_size=3)
+        report = synthesize(spec, scopes, max_size=3)
         assert report.solution is not None
         assert satisfies(report.solution, spec)
 
-    def test_report_json_round_trip(self, dsl_family, dsl_tables, dsl_thresholds):
+    def test_report_json_round_trip(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 2),))
-        report = synthesize(spec, dsl_family, dsl_tables, dsl_thresholds, max_size=2)
+        report = synthesize(spec, dsl_scopes, max_size=2)
         payload = report.to_json()
         assert payload["solution"] == list(report.solution)
         assert payload["nodes_expanded"] == report.nodes_expanded
@@ -308,9 +299,8 @@ class TestWideningSchedule:
         with pytest.raises(ValueError, match="max_rounds"):
             WideningSchedule(max_rounds=0)
 
-    def test_rounds_widen_monotonically(self, dsl_tables, dsl_thresholds):
-        subset_id = next(iter(dsl_tables))
-        search = _SubsetSearch(subset_id, dsl_tables[subset_id], dsl_thresholds[subset_id], 6, None)
+    def test_rounds_widen_monotonically(self, dsl_scopes):
+        search = _SubsetSearch(dsl_scopes[0], 6)
         schedule = WideningSchedule()
         previous = None
         for round_index in range(6):
@@ -320,9 +310,8 @@ class TestWideningSchedule:
             assert all(tail_min[s] <= active[s] for s in range(1, 7))
             previous = active
 
-    def test_thresholds_never_pass_their_floors(self, dsl_tables, dsl_thresholds):
-        subset_id = next(iter(dsl_tables))
-        search = _SubsetSearch(subset_id, dsl_tables[subset_id], dsl_thresholds[subset_id], 6, None)
+    def test_thresholds_never_pass_their_floors(self, dsl_scopes):
+        search = _SubsetSearch(dsl_scopes[0], 6)
         active, _, at_floor = search.round_thresholds(-1000.0, 6)
         assert at_floor
         assert active[1:] == search.floors[1:]
@@ -373,13 +362,13 @@ def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
     return rec([], 0.0, [list(case.inputs) for case in spec.cases])
 
 
-def _check_against_plain(spec, family, tables, thresholds, max_size, prune):
+def _check_against_plain(spec, scopes, max_size, prune):
     """Run synthesize with and without the dominance rule, through the same
     round loop, and assert the same outcome with no more nodes."""
-    report = synthesize(spec, family, tables, thresholds, max_size, prune=prune)
+    report = synthesize(spec, scopes, max_size, prune=prune)
     with pytest.MonkeyPatch.context() as m:
         m.setattr("probsynth.synth._dfs_subset", _plain_dfs_subset)
-        plain = synthesize(spec, family, tables, thresholds, max_size, prune=prune)
+        plain = synthesize(spec, scopes, max_size, prune=prune)
     assert plain.nodes_deduped == 0
     assert report.solution == plain.solution
     assert report.solved_subset_id == plain.solved_subset_id
@@ -399,10 +388,7 @@ def planted_fixture():
     covered by a subset and admissible at their size's threshold."""
     corpus = random_program_corpus(1000, "1..6", seed=29, input_arity=1, probe_inputs=PROBES)
     family = cluster_subsets(corpus, cap=10)
-    tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
-    thresholds = {
-        s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 6) for s in family.subsets
-    }
+    scopes = build_scopes(corpus, family, "subsets", 6)
     easy = {
         tuple(str(evaluate(prog, p)) for p in PROBES)
         for size in (1, 2)
@@ -419,22 +405,22 @@ def planted_fixture():
         cover = next((s for s in family.subsets if unit.unique_instructions <= s.members), None)
         if cover is None:
             continue
-        base = thresholds[cover.id].thresholds.get(unit.size)
-        if base is None or solution_probability(tables[cover.id], unit.instructions) < base - 1e-9:
+        base = scopes[cover.id].thresholds.thresholds.get(unit.size)
+        if base is None or solution_probability(scopes[cover.id].table, unit.instructions) < base - 1e-9:
             continue
         planted[unit.size].append(unit.instructions)
-    return family, tables, thresholds, [prog for size in (3, 4, 5) for prog in planted[size]]
+    return scopes, [prog for size in (3, 4, 5) for prog in planted[size]]
 
 
 class TestDominanceOracle:
     @pytest.mark.parametrize("prune", [True, False])
     def test_planted_specs_match_plain_search(self, planted_fixture, prune):
-        family, tables, thresholds, planted = planted_fixture
+        scopes, planted = planted_fixture
         assert len(planted) == 18
         deduped = 0
         for program in planted:
             spec = cases_from_program(program, PROBES)
-            report = _check_against_plain(spec, family, tables, thresholds, len(program), prune)
+            report = _check_against_plain(spec, scopes, len(program), prune)
             assert report.solution is not None and satisfies(report.solution, spec)
             deduped += report.nodes_deduped
         assert deduped > 0
@@ -444,7 +430,7 @@ class TestDominanceOracle:
     def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, prune, seed):
         # Integer inputs and a list output: no instruction builds a list
         # from integers, so the whole widening schedule runs.
-        family, tables, thresholds, _ = planted_fixture
+        scopes, _ = planted_fixture
         rng = random.Random(seed)
         spec = TestCaseSpec(
             cases=tuple(
@@ -452,7 +438,7 @@ class TestDominanceOracle:
                 for x in rng.sample(range(-50, 51), 4)
             )
         )
-        report = _check_against_plain(spec, family, tables, thresholds, 4, prune)
+        report = _check_against_plain(spec, scopes, 4, prune)
         assert report.solution is None and report.rounds > 1
         assert report.nodes_deduped > 0
 
@@ -462,14 +448,9 @@ class TestDominanceOracle:
         corpus = random_program_corpus(
             120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
         )
-        family = cluster_subsets(corpus, cap=8)
-        tables = {s.id: subset_instruction_probs(corpus, s) for s in family.subsets}
-        thresholds = {
-            s.id: derive_thresholds(corpus, tables[s.id], list(s.covered_units), 4)
-            for s in family.subsets
-        }
+        scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4)
         spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
-        report = _check_against_plain(spec, family, tables, thresholds, 4, prune)
+        report = _check_against_plain(spec, scopes, 4, prune)
         assert report.solution is not None and satisfies(report.solution, spec)
         assert report.nodes_deduped > 0
 
@@ -494,5 +475,5 @@ def small_specs(draw):
 class TestDominanceProperty:
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 4), st.booleans())
-    def test_random_specs_match_plain_search(self, dsl_family, dsl_tables, dsl_thresholds, spec, max_size, prune):
-        _check_against_plain(spec, dsl_family, dsl_tables, dsl_thresholds, max_size, prune)
+    def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, prune):
+        _check_against_plain(spec, dsl_scopes, max_size, prune)
