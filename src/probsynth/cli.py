@@ -15,13 +15,13 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from .corpus import (
     CorpusFormatError,
+    SizeSpec,
     generate_zipf_corpus,
     load_corpus,
     parse_size_spec,
@@ -81,39 +81,20 @@ _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
 _non_negative_int = _ranged(int, lambda v: v >= 0, ">= 0")
 _positive_float = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _negative_float = _ranged(float, lambda v: -math.inf < v < 0, "finite and < 0")
+_fraction = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _size_range(text: str) -> list[int]:
-    """argparse type: the sizes of an "A..B" range with 1 <= A <= B."""
+def _size_spec(text: str) -> SizeSpec:
+    """argparse type: a size range "A..B" (or "K") with 1 <= A <= B."""
     try:
-        spec = parse_size_spec(text)
+        return parse_size_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return list(range(spec.lo, spec.hi + 1))
 
 
 def _fractions(text: str) -> list[float]:
     """argparse type: comma-separated training fractions, each in (0, 1)."""
-    out = []
-    for part in text.split(","):
-        try:
-            value = float(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid fraction {part!r}") from None
-        if not 0 < value < 1:
-            raise argparse.ArgumentTypeError(f"fraction {part!r} is not in (0, 1)")
-        out.append(value)
-    return out
-
-
-def _map_ordered(fn: Callable, items: Iterable, threads: int) -> list:
-    """Apply fn over items, optionally on a thread pool; order is preserved
-    either way so outputs do not depend on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [_fraction(part) for part in text.split(",")]
 
 
 def _load_family_arg(args) -> SubsetFamily | None:
@@ -217,33 +198,23 @@ def cmd_thresholds(args) -> int:
 def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
-    scopes = build_scopes(corpus, family, _resolve_scope(args, family), max(args.sizes))
-
-    def run(scope):
-        return measure(scope.table, scope.thresholds, args.sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
-
-    measured = _map_ordered(run, scopes, args.threads)
+    sizes = range(args.sizes.lo, args.sizes.hi + 1)
+    scopes = build_scopes(corpus, family, _resolve_scope(args, family), args.sizes.hi)
+    measured = [
+        m
+        for scope in scopes
+        for m in measure(scope.table, scope.thresholds, sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
+    ]
     with _atomic_output(args.output) as f:
-        write_measurements_csv([m for group in measured for m in group], f)
+        write_measurements_csv(measured, f)
     return 0
 
 
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.input)
-
-    def run_fraction(fraction: float):
-        return validate(
-            corpus,
-            fractions=[fraction],
-            max_size=args.max_size,
-            seed=args.seed,
-            repeats=args.repeats,
-            probs_from_train=args.train_probs,
-        )
-
-    groups = _map_ordered(run_fraction, args.fractions, args.threads)
+    results = validate(corpus, args.fractions, args.max_size, args.seed, args.repeats, args.train_probs)
     with _atomic_output(args.output) as f:
-        write_validation_csv([r for group in groups for r in group], f)
+        write_validation_csv(results, f)
     return 0
 
 
@@ -267,8 +238,9 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    text = "worker threads for measure's scopes and validate's fractions; probs and thresholds ignore it"
-    p.add_argument("--threads", type=_positive_int, default=1, help=text + " (default 1)")
+    # Accepted so one set of flags runs the whole pipeline; the work is
+    # CPU-bound Python and runs in one thread.
+    p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", type=_positive_int, required=True, help="number of program units")
     p.add_argument("--alphabet", type=_positive_int, default=100, help="alphabet size (ranked)")
     p.add_argument("--exponent", type=_positive_float, default=1.0, help="Zipf exponent (> 0)")
-    p.add_argument("--sizes", default="1..40", help="unit size range A..B (default 1..40)")
+    p.add_argument("--sizes", type=_size_spec, default="1..40", help="unit size range A..B (default 1..40)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--clusters", type=_non_negative_int, default=0, help="overlapping instruction pools (0 = none)")
     p.add_argument("--cluster-size", type=_positive_int, default=10, help="instructions per pool")
@@ -329,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
-    p.add_argument("--sizes", type=_size_range, required=True, help="solution size range A..B")
+    p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
     p.add_argument("--mode", choices=[SEQUENCES, MULTISETS], default=SEQUENCES)
     p.add_argument("--cumulative", action="store_true", help="count all depths 1..S, not just depth S")
@@ -369,6 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.cluster_size > args.alphabet:
+        parser.error(f"argument --cluster-size: must be <= --alphabet ({args.alphabet}), got {args.cluster_size}")
     try:
         return args.func(args)
     except (CorpusFormatError, ValueError, KeyError, RuntimeError, OSError) as exc:

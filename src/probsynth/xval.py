@@ -7,25 +7,39 @@ percentage of test units (per size) whose solution probability clears the
 threshold for their size. Instruction probabilities default to the full
 corpus, matching the protocol this reproduces; ``probs_from_train``
 switches to the stricter variant where they too come from the training
-part only.
+part only. Each unit's solution probability is computed once per table:
+once per call by default, once per split with ``probs_from_train``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, ProgramUnit
 from .probability import (
+    GLOBAL_SCOPE,
     LOG10_SLACK,
-    ProbabilityTable,
-    derive_thresholds,
+    build_scopes,
     fmt12,
-    global_instruction_probs,
     solution_probability,
+    table_from_counts,
 )
+
+
+def _split_indices(n: int, fraction: float, seed: int) -> set[int]:
+    """Indices of the training units: round(fraction * n) of range(n),
+    clamped to 1..n-1, drawn without replacement."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    if n < 2:
+        raise ValueError(f"corpus must have at least 2 units to split, got {n}")
+    k = min(max(round(fraction * n), 1), n - 1)
+    return set(random.Random(seed).sample(range(n), k))
 
 
 def split_corpus(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -35,14 +49,7 @@ def split_corpus(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Co
     sides stay non-empty; unit order within each side follows the corpus.
     Deterministic per (corpus, fraction, seed).
     """
-    if not 0 < fraction < 1:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    n = len(corpus.units)
-    if n < 2:
-        raise ValueError(f"corpus must have at least 2 units to split, got {n}")
-    k = min(max(round(fraction * n), 1), n - 1)
-    rng = random.Random(seed)
-    train_idx = set(rng.sample(range(n), k))
+    train_idx = _split_indices(len(corpus.units), fraction, seed)
     train = tuple(u for i, u in enumerate(corpus.units) if i in train_idx)
     test = tuple(u for i, u in enumerate(corpus.units) if i not in train_idx)
     return Corpus(units=train), Corpus(units=test)
@@ -64,29 +71,51 @@ class ValidationResult:
         return sum(self.per_size_coverage.values()) / len(self.per_size_coverage)
 
 
-def _coverage_for_split(
-    table: ProbabilityTable,
-    thresholds: dict[int, float],
-    test: Corpus,
-    max_size: int,
-) -> tuple[dict[int, float], dict[int, int]]:
-    hits: dict[int, int] = {s: 0 for s in thresholds}
-    totals: dict[int, int] = {s: 0 for s in thresholds}
-    for unit in test.units:
-        size = unit.size
-        if size > max_size or size not in thresholds:
+def _train_log_probs(units: Sequence[ProgramUnit], train: set[int], max_size: int) -> list[float | None]:
+    """Every unit's log10 solution probability under the training part's
+    table; -inf for a unit with an instruction the training part lacks."""
+    counts: Counter = Counter()
+    for i in train:
+        counts.update(units[i].instructions)
+    table = table_from_counts(GLOBAL_SCOPE, counts)
+    log_probs: list[float | None] = []
+    for unit in units:
+        if unit.size > max_size:
+            log_probs.append(None)
+            continue
+        try:
+            log_probs.append(solution_probability(table, unit.instructions))
+        except KeyError:
+            log_probs.append(-math.inf)  # instruction unseen in training: not covered
+    return log_probs
+
+
+def _split_result(
+    fraction: float, seed: int, sizes: Sequence[int], log_probs: Sequence[float | None], train: set[int], max_size: int
+) -> ValidationResult:
+    """Thresholds from the training positions, coverage of the others.
+    ``log_probs`` holds None for units above ``max_size``."""
+    minima: dict[int, float] = {}
+    for i in train:
+        log_prob, size = log_probs[i], sizes[i]
+        if log_prob is not None and log_prob < minima.get(size, math.inf):
+            minima[size] = log_prob
+    hits = dict.fromkeys(minima, 0)
+    totals = dict.fromkeys(minima, 0)
+    for i, size in enumerate(sizes):
+        if size not in minima or i in train:
             continue
         totals[size] += 1
-        try:
-            log_prob = solution_probability(table, unit.instructions)
-        except KeyError:
-            continue  # instruction unseen in the probability scope: not covered
-        if log_prob >= thresholds[size] - LOG10_SLACK:
+        if log_probs[i] >= minima[size] - LOG10_SLACK:
             hits[size] += 1
-    coverage = {
-        s: (100.0 * hits[s] / totals[s]) if totals[s] else 100.0 for s in sorted(thresholds)
-    }
-    return coverage, {s: totals[s] for s in sorted(thresholds)}
+    ordered = sorted(minima)
+    return ValidationResult(
+        training_fraction=fraction,
+        seed=seed,
+        per_size_coverage={s: (100.0 * hits[s] / totals[s]) if totals[s] else 100.0 for s in ordered},
+        per_size_test_counts={s: totals[s] for s in ordered},
+        sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in minima),
+    )
 
 
 def validate(
@@ -105,25 +134,18 @@ def validate(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    full_table = None if probs_from_train else global_instruction_probs(corpus)
+    units = corpus.units
+    sizes = [unit.size for unit in units]
+    if not probs_from_train:
+        [scope] = build_scopes(corpus, None, GLOBAL_SCOPE, max_size)
+        by_id = dict(zip(scope.unit_ids, scope.unit_log10_probs))
+        full_log_probs = [by_id.get(unit.id) for unit in units]
     results = []
     for fraction in fractions:
-        for rep in range(repeats):
-            rep_seed = seed + rep
-            train, test = split_corpus(corpus, fraction, rep_seed)
-            table = global_instruction_probs(train) if probs_from_train else full_table
-            thr = derive_thresholds(corpus, table, [u.id for u in train.units], max_size)
-            coverage, totals = _coverage_for_split(table, thr.thresholds, test, max_size)
-            missing = tuple(s for s in range(1, max_size + 1) if s not in thr.thresholds)
-            results.append(
-                ValidationResult(
-                    training_fraction=fraction,
-                    seed=rep_seed,
-                    per_size_coverage=coverage,
-                    per_size_test_counts=totals,
-                    sizes_without_threshold=missing,
-                )
-            )
+        for rep_seed in range(seed, seed + repeats):
+            train = _split_indices(len(units), fraction, rep_seed)
+            log_probs = _train_log_probs(units, train, max_size) if probs_from_train else full_log_probs
+            results.append(_split_result(fraction, rep_seed, sizes, log_probs, train, max_size))
     return results
 
 

@@ -144,8 +144,14 @@ class TestExitCodes:
             ["--units", "10", "--clusters", "2", "--cluster-size", "0"],
             ["--units", "10", "--clusters", "-1"],
             ["--units", "10", "--exponent", "nan"],
+            ["--units", "10", "--sizes", "0..3"],
+            ["--units", "10", "--sizes", "0..3", "--dsl-programs"],
+            ["--units", "10", "--clusters", "2", "--cluster-size", "20", "--alphabet", "10"],
         ],
-        ids=["units-0", "alphabet-0", "cluster-size-0", "clusters-negative", "exponent-nan"],
+        ids=[
+            "units-0", "alphabet-0", "cluster-size-0", "clusters-negative", "exponent-nan",
+            "sizes-from-0", "dsl-sizes-from-0", "cluster-size-above-alphabet",
+        ],
     )
     def test_gen_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "c.jsonl"
@@ -236,6 +242,19 @@ class TestReportCommands:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert {r["fraction"] for r in rows} == {"0.1", "0.5"}
         assert all(0.0 <= float(r["coverage_pct"]) <= 100.0 for r in rows)
+
+    def test_validate_fractions_in_one_run(self, pipeline):
+        tmp_path, corpus_path, _ = pipeline
+
+        def rows(fractions):
+            out = tmp_path / f"val-{fractions}.csv"
+            assert run([
+                "validate", "-i", corpus_path, "--fractions", fractions, "--max-size", "10",
+                "--seed", "4", "--repeats", "2", "-o", str(out),
+            ]) == 0
+            return out.read_text().splitlines()[1:]
+
+        assert rows("0.01,0.25") == rows("0.01") + rows("0.25")
 
     def test_validate_train_probs_flag(self, pipeline):
         tmp_path, corpus_path, _ = pipeline

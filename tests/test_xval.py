@@ -5,10 +5,14 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probsynth import (
+    LOG10_SLACK,
     Corpus,
     ProgramUnit,
+    ValidationResult,
     derive_thresholds,
     generate_zipf_corpus,
     global_instruction_probs,
@@ -22,6 +26,56 @@ from probsynth.xval import write_validation_csv
 @pytest.fixture(scope="module")
 def corpus100():
     return generate_zipf_corpus(100, 20, 1.0, "1..8", seed=6)
+
+
+def _reference_validate(corpus, fractions, max_size, seed, repeats=1, probs_from_train=False):
+    """The per-split protocol spelled out: split the corpus, derive the
+    training part's thresholds, and score every test unit under the split's
+    table, an instruction without an entry counting as not covered."""
+    full_table = global_instruction_probs(corpus)
+    results = []
+    for fraction in fractions:
+        for rep in range(repeats):
+            train, test = split_corpus(corpus, fraction, seed + rep)
+            table = global_instruction_probs(train) if probs_from_train else full_table
+            thresholds = derive_thresholds(corpus, table, [u.id for u in train.units], max_size).thresholds
+            hits = dict.fromkeys(thresholds, 0)
+            totals = dict.fromkeys(thresholds, 0)
+            for unit in test.units:
+                if unit.size > max_size or unit.size not in thresholds:
+                    continue
+                totals[unit.size] += 1
+                try:
+                    log_prob = solution_probability(table, unit.instructions)
+                except KeyError:
+                    continue
+                if log_prob >= thresholds[unit.size] - LOG10_SLACK:
+                    hits[unit.size] += 1
+            sizes = sorted(thresholds)
+            results.append(
+                ValidationResult(
+                    training_fraction=fraction,
+                    seed=seed + rep,
+                    per_size_coverage={s: 100.0 * hits[s] / totals[s] if totals[s] else 100.0 for s in sizes},
+                    per_size_test_counts={s: totals[s] for s in sizes},
+                    sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in thresholds),
+                )
+            )
+    return results
+
+
+def _csv(results):
+    buf = io.StringIO()
+    write_validation_csv(results, buf)
+    return buf.getvalue()
+
+
+def _assert_matches_reference(corpus, fractions, max_size, seed, repeats, probs_from_train):
+    got = validate(corpus, fractions, max_size, seed, repeats=repeats, probs_from_train=probs_from_train)
+    want = _reference_validate(corpus, fractions, max_size, seed, repeats, probs_from_train)
+    assert got == want
+    # Equal dicts may still differ in order, which the CSV rows follow.
+    assert _csv(got) == _csv(want)
 
 
 class TestSplitCorpus:
@@ -143,6 +197,36 @@ class TestValidate:
         [lenient] = validate(corpus, [0.5], max_size=4, seed=seed, probs_from_train=False)
         assert strict.per_size_coverage[2] == 0.0
         assert lenient.per_size_coverage[2] == 100.0
+
+    @pytest.mark.parametrize("probs_from_train", [False, True], ids=["full-probs", "train-probs"])
+    @pytest.mark.parametrize(
+        "corpus_name, max_size",
+        [("corpus100", 6), ("zipf_corpus", 30)],
+        ids=["corpus100", "zipf_corpus"],
+    )
+    def test_matches_per_split_reference(self, request, corpus_name, max_size, probs_from_train):
+        # max_size is below each corpus's largest unit (8 and 40).
+        corpus = request.getfixturevalue(corpus_name)
+        _assert_matches_reference(corpus, [0.01, 0.25], max_size, seed=7, repeats=2, probs_from_train=probs_from_train)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        units=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "rare"]), min_size=1, max_size=6),
+            min_size=2,
+            max_size=12,
+        ),
+        fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+        max_size=st.integers(1, 7),
+        seed=st.integers(0, 1000),
+        repeats=st.integers(1, 2),
+        probs_from_train=st.booleans(),
+    )
+    def test_matches_reference_on_small_corpora(self, units, fractions, max_size, seed, repeats, probs_from_train):
+        # Small training parts often miss an instruction, so with
+        # probs_from_train some test units have no table entry.
+        corpus = Corpus(units=tuple(ProgramUnit(f"u{i}", tuple(instrs)) for i, instrs in enumerate(units)))
+        _assert_matches_reference(corpus, fractions, max_size, seed, repeats, probs_from_train)
 
     def test_csv_export(self, corpus100):
         results = validate(corpus100, [0.25], max_size=8, seed=3)
