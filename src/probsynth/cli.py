@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -97,6 +98,16 @@ def _fractions(text: str) -> list[float]:
     return [_fraction(part) for part in text.split(",")]
 
 
+def _configure_logging() -> None:
+    """Route the package's warnings to the current stderr as
+    ``probsynth: LEVEL: message``; each call replaces the handler, so
+    repeated ``main`` calls in one process print each record once."""
+    handler = logging.StreamHandler()
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("probsynth: %(levelname)s: %(message)s"))
+    logging.getLogger("probsynth").handlers[:] = [handler]
+
+
 def _load_family_arg(args) -> SubsetFamily | None:
     return load_family(args.family) if args.family else None
 
@@ -169,7 +180,10 @@ def cmd_probs(args) -> int:
 def cmd_thresholds(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
-    scopes = build_scopes(corpus, family, _resolve_scope(args, family), args.max_size)
+    which = _resolve_scope(args, family)
+    scopes = build_scopes(corpus, family, which, args.max_size)
+    if not any(scope.unit_ids for scope in scopes):
+        raise ValueError(f"no unit in scope {which} has at most {args.max_size} instructions")
     with _atomic_output(args.output) as f:
         write_thresholds_csv([scope.thresholds for scope in scopes], f)
 
@@ -199,7 +213,10 @@ def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args)
     sizes = range(args.sizes.lo, args.sizes.hi + 1)
-    scopes = build_scopes(corpus, family, _resolve_scope(args, family), args.sizes.hi)
+    which = _resolve_scope(args, family)
+    scopes = build_scopes(corpus, family, which, args.sizes.hi)
+    if not any(size in scope.thresholds for scope in scopes for size in sizes):
+        raise ValueError(f"no unit in scope {which} has a size in {args.sizes.lo}..{args.sizes.hi}")
     measured = [
         m
         for scope in scopes
@@ -213,6 +230,8 @@ def cmd_measure(args) -> int:
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.input)
     results = validate(corpus, args.fractions, args.max_size, args.seed, args.repeats, args.train_probs)
+    if not any(result.per_size_coverage for result in results):
+        raise ValueError(f"no training part has a unit of at most {args.max_size} instructions")
     with _atomic_output(args.output) as f:
         write_validation_csv(results, f)
     return 0
@@ -341,6 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _configure_logging()
     if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.cluster_size > args.alphabet:
         parser.error(f"argument --cluster-size: must be <= --alphabet ({args.alphabet}), got {args.cluster_size}")
     try:

@@ -53,7 +53,7 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
 
     excluded = [u.id for u in corpus.units if len(u.unique_instructions) > cap]
     if excluded:
-        logger.info("excluding %d units with more than %d unique instructions", len(excluded), cap)
+        logger.warning("excluding %d units with more than %d unique instructions", len(excluded), cap)
     kept = [u for u in corpus.units if len(u.unique_instructions) <= cap]
 
     ordered = sorted(kept, key=lambda u: -len(u.unique_instructions))

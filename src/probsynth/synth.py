@@ -18,6 +18,14 @@ and the sweep repeats, down to the minimum possible probability per size
 (its floor). A size with no threshold sits at its floor from the start,
 so scopes without thresholds search the whole subset space in one round.
 
+Children are generated in descending log-probability, and adding a fixed
+log-probability to each keeps that order (float addition is monotone), so
+the first child below the cut ends its level: the rest are counted as cut
+without being looked at. A child of ``max_size`` instructions is never
+extended, so no stack state is kept for it: it is stepped only when it
+clears its size's threshold, one test case at a time, up to the first
+case it fails.
+
 Within one subset and round, a prefix whose stack states on every test
 case equal those of an earlier prefix of the same length, at no higher
 log-probability, is still tested but its subtree is skipped: the earlier
@@ -287,14 +295,17 @@ class SearchReport:
 
 
 class _SubsetSearch:
-    """Per-scope search state: extension order, log-probs, threshold bases."""
+    """Per-scope search state: the step table in extension order, threshold bases."""
 
     def __init__(self, scope: Scope, max_size: int):
         self.subset_id = scope.subset_id
         ordered = sorted(scope.table.log10_probs.items(), key=lambda kv: (-kv[1], kv[0]))
-        self.order = [instr for instr, _ in ordered]
-        self.logps = dict(ordered)
-        min_log = min(self.logps.values())
+        unknown = next((instr for instr, _ in ordered if instr not in _OPS), None)
+        if unknown is not None:
+            raise ValueError(f"unknown DSL instruction {unknown!r}")
+        # (instruction, log-prob, input arity, implementation) in search order
+        self.steps = [(instr, logp, _OPS[instr][0], _OPS[instr][2]) for instr, logp in ordered]
+        min_log = ordered[-1][1]
         self.floors = [s * min_log for s in range(max_size + 1)]
         self.bases = [0.0] + [
             scope.thresholds.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)
@@ -343,6 +354,9 @@ def synthesize(
     the search without this rule returns. The rule applies to prefixes of
     at most ``max_size - 2`` instructions; ``nodes_deduped`` counts the
     subtrees it skips, whose roots are still counted as expanded.
+
+    Raises ValueError, before any search, when a scope holds an
+    instruction outside the DSL.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -389,9 +403,15 @@ def _dfs_subset(
     counters: dict,
     prune: bool,
 ) -> tuple[str, ...] | None:
-    order = search.order
-    logps = search.logps
+    steps = search.steps
+    width = len(steps)
     expected = [case.expected for case in spec.cases]
+    # Per length: the test bound, and the cut bound (none without pruning).
+    # At max_size the two agree: tail_min[max_size] is active[max_size].
+    admit = [a - LOG10_SLACK for a in active]
+    cut = [t - LOG10_SLACK for t in tail_min] if prune else [-math.inf] * (max_size + 1)
+    leaf_bound = admit[max_size]
+    below_leaf_bound = "pruned" if prune else "expanded"
 
     # Per length: repr(states) -> best log-probability of a prefix that
     # left them. Kept up to max_size - 2, where a skipped subtree still
@@ -399,39 +419,77 @@ def _dfs_subset(
     # but the largest size-6 search holds 11,769 keys instead of 2,186.
     seen = {length: {} for length in range(1, max_size - 1)}
 
+    def leaf(prefix: list[str], logp: float, states: list) -> tuple[str, ...] | None:
+        # Children at max_size are never extended: test each admissible
+        # one case by case, stopping at the first case it fails, and keep
+        # no states. Steps run in descending log-probability, so the first
+        # child below the bound ends the level.
+        for i, (instruction, step_logp, arity, fn) in enumerate(steps):
+            if logp + step_logp < leaf_bound:
+                counters["expanded"] += i
+                counters[below_leaf_bound] += width - i
+                return None
+            for state, exp in zip(states, expected):
+                if state is None or len(state) < arity:
+                    break
+                result = fn(*state[-arity:]) if arity else fn()
+                if type(result) is Fault:
+                    break
+                # The top of state[:-arity] + result, without copying the
+                # stack: building it costs synth-solve about 8% of wall_s.
+                if result:
+                    top = result[-1]
+                elif len(state) > arity:
+                    top = state[-1 - arity]
+                else:
+                    break
+                if not _values_equal(top, exp):
+                    break
+            else:
+                counters["expanded"] += i + 1
+                return tuple(prefix + [instruction])
+        counters["expanded"] += width
+        return None
+
     def rec(prefix: list[str], logp: float, states: list) -> tuple[str, ...] | None:
         length = len(prefix) + 1
+        if length == max_size:
+            return leaf(prefix, logp, states)
         level = seen.get(length)
-        for instruction in order:
-            child_logp = logp + logps[instruction]
+        bound = cut[length]
+        for i, (instruction, step_logp, arity, fn) in enumerate(steps):
+            child_logp = logp + step_logp
             # Admissible cut: below every threshold this partial could
             # still reach, no completion can be admitted this round. Any
             # candidate admissible at its own size keeps every prefix
             # above the cut, so the cut never hides a testable candidate.
-            if prune and child_logp < tail_min[length] - LOG10_SLACK:
-                counters["pruned"] += 1
-                continue
+            # Later steps have no higher log-probability, so they fall too.
+            if child_logp < bound:
+                counters["pruned"] += width - i
+                return None
             counters["expanded"] += 1
             child_states = []
             alive = False
+            # _OPS functions never mutate their arguments, so a child
+            # state may share values with its parent's.
             for state in states:
-                if state is None:
-                    child_states.append(None)
-                    continue
-                new_state = list(state)
-                if _step(new_state, instruction) is not None:
-                    child_states.append(None)
-                else:
-                    child_states.append(new_state)
-                    alive = True
-            if child_logp >= active[length] - LOG10_SLACK:
+                if state is not None and len(state) >= arity:
+                    result = fn(*state[-arity:]) if arity else fn()
+                    if type(result) is not Fault:
+                        new = state[:-arity] if arity else state[:]
+                        new.extend(result)
+                        child_states.append(new)
+                        alive = True
+                        continue
+                child_states.append(None)
+            if child_logp >= admit[length]:
                 solved = all(
                     state is not None and state and _values_equal(state[-1], exp)
                     for state, exp in zip(child_states, expected)
                 )
                 if solved:
                     return tuple(prefix + [instruction])
-            if length < max_size and alive:
+            if alive:
                 if level is not None:
                     # Dominance: an earlier prefix of this length left the
                     # same states at a log-probability at least as high, so

@@ -6,9 +6,21 @@ from 0, so ``scopes[subset.id]`` is that subset's scope.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from probsynth import build_scopes, cluster_subsets, generate_zipf_corpus, random_program_corpus
+
+
+@pytest.fixture(autouse=True)
+def restore_log_handlers():
+    """``cli.main`` binds the package logger to the stderr of its call,
+    which pytest replaces per test: drop that handler after each test."""
+    logger = logging.getLogger("probsynth")
+    handlers = logger.handlers[:]
+    yield
+    logger.handlers[:] = handlers
 
 
 @pytest.fixture(scope="session")

@@ -179,6 +179,88 @@ class TestExitCodes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.fixture()
+    def large_units_corpus(self, tmp_path):
+        """An abstract corpus whose units all have 5 to 8 instructions."""
+        path = tmp_path / "large.jsonl"
+        assert run(["gen", "--units", "50", "--sizes", "5..8", "--seed", "1", "-o", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args,outputs",
+        [
+            (["thresholds", "--scope", "global", "--max-size", "3"], ["out.csv"]),
+            (
+                ["thresholds", "--scope", "global", "--max-size", "3", "--ranges", "ranges.csv",
+                 "--pu-probs", "pu.csv"],
+                ["out.csv", "ranges.csv", "pu.csv"],
+            ),
+            (["measure", "--scope", "global", "--sizes", "1..3"], ["out.csv"]),
+            (["validate", "--fractions", "0.5", "--max-size", "3", "--seed", "1"], ["out.csv"]),
+        ],
+        ids=["thresholds", "thresholds-ranges-pu-probs", "measure", "validate"],
+    )
+    def test_no_unit_small_enough_is_runtime_error(self, tmp_path, capsys, large_units_corpus, args, outputs):
+        capsys.readouterr()
+        argv = [(str(tmp_path / a) if a.endswith(".csv") else a) for a in args]
+        rc = run(argv + ["-i", large_units_corpus, "-o", str(tmp_path / "out.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for name in outputs:
+            assert not (tmp_path / name).exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_validate_checks_training_parts_not_corpus(self, tmp_path, capsys):
+        # One unit of size 1, three of size 6; a fraction of 0.25 trains on
+        # one unit: index 3 at seed 0, index 0 at seed 2.
+        corpus = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u0","instructions":["a"]}']
+            + [f'{{"id":"u{i}","instructions":["a","b","a","b","a","b"]}}' for i in (1, 2, 3)],
+        )
+        out = tmp_path / "out.csv"
+        argv = ["validate", "-i", corpus, "--fractions", "0.25", "--max-size", "3", "-o", str(out)]
+        capsys.readouterr()
+        assert run(argv + ["--seed", "0"]) == 1
+        assert capsys.readouterr().err == "error: no training part has a unit of at most 3 instructions\n"
+        assert not out.exists()
+        assert run(argv + ["--seed", "2"]) == 0
+        assert out.read_text().splitlines()[1:] == ["0.25,1,100,0"]
+
+    def test_synth_on_non_dsl_corpus_is_runtime_error(self, tmp_path, capsys, large_units_corpus):
+        spec_path = tmp_path / "spec.json"
+        save_test_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        rc = run(["synth", "--spec", str(spec_path), "-i", large_units_corpus, "-o", str(report_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown DSL instruction") and err.count("\n") == 1
+        assert not report_path.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestLogging:
+    @pytest.fixture()
+    def toy_corpus(self, tmp_path):
+        # Sizes 2 and 3 only: a global measure at sizes 1..2 skips size 1.
+        return write_corpus_lines(
+            tmp_path / "toy.jsonl",
+            ['{"id":"u1","instructions":["a","b"]}', '{"id":"u2","instructions":["a","a","b"]}'],
+        )
+
+    def test_warning_printed_once_per_call_with_prefix(self, tmp_path, capsys, toy_corpus):
+        argv = ["measure", "-i", toy_corpus, "--scope", "global", "--sizes", "1..2", "-o", str(tmp_path / "m.csv")]
+        for _ in range(2):
+            assert run(argv) == 0
+            err = capsys.readouterr().err
+            assert err == "probsynth: WARNING: no threshold for scope global at size 1; skipping\n"
+
+    def test_excluded_units_warned(self, tmp_path, capsys, toy_corpus):
+        assert run(["cluster", "-i", toy_corpus, "--cap", "1", "-o", str(tmp_path / "f.jsonl")]) == 0
+        assert capsys.readouterr().err == "probsynth: WARNING: excluding 2 units with more than 1 unique instructions\n"
+
 
 class TestReportCommands:
     @pytest.fixture()

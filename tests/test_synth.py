@@ -321,8 +321,8 @@ def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
     """The depth-first search without the dominance rule, as it was before
     the rule: the oracle showing that the rule neither loses nor changes a
     solution."""
-    order = search.order
-    logps = search.logps
+    order = [instruction for instruction, _, _, _ in search.steps]
+    logps = {instruction: logp for instruction, logp, _, _ in search.steps}
     expected = [case.expected for case in spec.cases]
 
     def rec(prefix, logp, states):
@@ -362,13 +362,73 @@ def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
     return rec([], 0.0, [list(case.inputs) for case in spec.cases])
 
 
-def _check_against_plain(spec, scopes, max_size, prune):
-    """Run synthesize with and without the dominance rule, through the same
-    round loop, and assert the same outcome with no more nodes."""
+def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune):
+    """The search loop before the leaf short-circuit, the step table and the
+    sorted-tail cut: every expanded child, leaves included, is stepped
+    through ``_step`` on every case, and every cut child is looked at. The
+    oracle for exact reports, node counters included."""
+    order = [instruction for instruction, _, _, _ in search.steps]
+    logps = {instruction: logp for instruction, logp, _, _ in search.steps}
+    expected = [case.expected for case in spec.cases]
+    seen = {length: {} for length in range(1, max_size - 1)}
+
+    def rec(prefix, logp, states):
+        length = len(prefix) + 1
+        level = seen.get(length)
+        for instruction in order:
+            child_logp = logp + logps[instruction]
+            if prune and child_logp < tail_min[length] - LOG10_SLACK:
+                counters["pruned"] += 1
+                continue
+            counters["expanded"] += 1
+            child_states = []
+            alive = False
+            for state in states:
+                if state is None:
+                    child_states.append(None)
+                    continue
+                new_state = list(state)
+                if _step(new_state, instruction) is not None:
+                    child_states.append(None)
+                else:
+                    child_states.append(new_state)
+                    alive = True
+            if child_logp >= active[length] - LOG10_SLACK:
+                if all(
+                    state is not None and state and _values_equal(state[-1], exp)
+                    for state, exp in zip(child_states, expected)
+                ):
+                    return tuple(prefix + [instruction])
+            if length < max_size and alive:
+                if level is not None:
+                    key = repr(child_states)
+                    best = level.get(key)
+                    if best is not None and best >= child_logp:
+                        counters["deduped"] += 1
+                        continue
+                    level[key] = child_logp
+                prefix.append(instruction)
+                found = rec(prefix, child_logp, child_states)
+                prefix.pop()
+                if found is not None:
+                    return found
+        return None
+
+    return rec([], 0.0, [list(case.inputs) for case in spec.cases])
+
+
+def _check_against_oracles(spec, scopes, max_size, prune):
+    """Run synthesize with the search loop, the reference loop and the loop
+    without the dominance rule, through the same round loop. Assert a report
+    identical to the reference's, and the same outcome as without the rule
+    with no more nodes."""
     report = synthesize(spec, scopes, max_size, prune=prune)
     with pytest.MonkeyPatch.context() as m:
+        m.setattr("probsynth.synth._dfs_subset", _reference_dfs_subset)
+        reference = synthesize(spec, scopes, max_size, prune=prune)
         m.setattr("probsynth.synth._dfs_subset", _plain_dfs_subset)
         plain = synthesize(spec, scopes, max_size, prune=prune)
+    assert report.to_json() == reference.to_json()
     assert plain.nodes_deduped == 0
     assert report.solution == plain.solution
     assert report.solved_subset_id == plain.solved_subset_id
@@ -420,7 +480,7 @@ class TestDominanceOracle:
         deduped = 0
         for program in planted:
             spec = cases_from_program(program, PROBES)
-            report = _check_against_plain(spec, scopes, len(program), prune)
+            report = _check_against_oracles(spec, scopes, len(program), prune)
             assert report.solution is not None and satisfies(report.solution, spec)
             deduped += report.nodes_deduped
         assert deduped > 0
@@ -438,7 +498,7 @@ class TestDominanceOracle:
                 for x in rng.sample(range(-50, 51), 4)
             )
         )
-        report = _check_against_plain(spec, scopes, 4, prune)
+        report = _check_against_oracles(spec, scopes, 4, prune)
         assert report.solution is None and report.rounds > 1
         assert report.nodes_deduped > 0
 
@@ -450,9 +510,19 @@ class TestDominanceOracle:
         )
         scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4)
         spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
-        report = _check_against_plain(spec, scopes, 4, prune)
+        report = _check_against_oracles(spec, scopes, 4, prune)
         assert report.solution is not None and satisfies(report.solution, spec)
         assert report.nodes_deduped > 0
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("expected", [[3, 1, 2], [9, 9]], ids=["drop-solves", "unsatisfiable"])
+    def test_list_output_specs_match_reference(self, dsl_scopes, expected, max_size, prune):
+        # A list under an integer on the stack: at the last level, drop
+        # exposes the value below the result, and swap and dup leave two.
+        spec = TestCaseSpec(cases=(TestCase(([3, 1, 2], 4), expected), TestCase(([3, 1, 2], -1), expected)))
+        report = _check_against_oracles(spec, dsl_scopes, max_size, prune)
+        assert (report.solution is not None) == (expected == [3, 1, 2])
 
 
 _SMALL_VALUES = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3))
@@ -474,6 +544,6 @@ def small_specs(draw):
 
 class TestDominanceProperty:
     @settings(max_examples=60, deadline=None)
-    @given(small_specs(), st.integers(1, 4), st.booleans())
+    @given(small_specs(), st.integers(1, 5), st.booleans())
     def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, prune):
-        _check_against_plain(spec, dsl_scopes, max_size, prune)
+        _check_against_oracles(spec, dsl_scopes, max_size, prune)
