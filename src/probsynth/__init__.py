@@ -57,7 +57,6 @@ from .synth import (
     SearchReport,
     TestCase,
     TestCaseSpec,
-    WideningSchedule,
     cases_from_program,
     evaluate,
     random_program_corpus,
@@ -92,7 +91,6 @@ __all__ = [
     "TestCaseSpec",
     "ThresholdTable",
     "ValidationResult",
-    "WideningSchedule",
     "baseline_size",
     "brute_force_count",
     "build_scopes",

@@ -40,19 +40,23 @@ from .probability import (
 )
 from .spacecount import MULTISETS, SEQUENCES, fmt12, measure, write_measurements_csv
 from .subsets import SubsetFamily, cluster_subsets, load_family, save_family
-from .synth import WideningSchedule, load_test_spec, random_program_corpus, synthesize
+from .synth import load_test_spec, random_program_corpus, synthesize
 from .xval import validate, write_validation_csv
 
 
 @contextmanager
 def _atomic_output(path: str):
-    """Write to a temp file next to the target, then rename into place."""
+    """Write to a temp file next to the target, then rename into place,
+    with the mode a plain ``open`` would give (``mkstemp`` makes 0600)."""
     target = Path(path)
     parent = target.parent if str(target.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             yield f
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -157,21 +161,10 @@ def cmd_probs(args) -> int:
     family = _load_family_arg(args)
     scope = _resolve_scope(args, family)
     tables: list[ProbabilityTable] = []
-    skipped: list[int] = []
     if scope in ("global", "both"):
         tables.append(global_instruction_probs(corpus))
     if scope in ("subsets", "both"):
-        for subset in family.subsets:
-            try:
-                tables.append(subset_instruction_probs(corpus, subset, size=args.per_size))
-            except ValueError:
-                if args.per_size is None:
-                    raise
-                skipped.append(subset.id)
-    if not tables:
-        raise ValueError(f"no subset has covered units of size {args.per_size}")
-    for subset_id in skipped:
-        print(f"note: subset {subset_id} has no covered units of size {args.per_size}; skipped", file=sys.stderr)
+        tables.extend(subset_instruction_probs(corpus, subset) for subset in family.subsets)
     with _atomic_output(args.output) as f:
         write_tables_csv(tables, f)
     return 0
@@ -244,8 +237,7 @@ def cmd_synth(args) -> int:
     scopes = build_scopes(corpus, family, "subsets", args.max_size)
     if args.no_prune:
         scopes = [scope.without_thresholds() for scope in scopes]
-    schedule = WideningSchedule(step_log10=args.step, max_rounds=args.max_rounds)
-    report = synthesize(spec, scopes, args.max_size, schedule)
+    report = synthesize(spec, scopes, args.max_size, step_log10=args.step)
     with _atomic_output(args.output) as f:
         json.dump(report.to_json(), f, indent=2)
         f.write("\n")
@@ -295,12 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
-    p.add_argument(
-        "--per-size",
-        type=_positive_int,
-        default=None,
-        help="restrict per-subset counts to covered units of exactly this size",
-    )
     _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_probs)
@@ -349,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_positive_int, default=10)
     p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
     p.add_argument("--step", type=_negative_float, default=-2.0, help="log10 widening step per round (< 0)")
-    p.add_argument("--max-rounds", type=_positive_int, default=None, help="stop after this many rounds")
     p.add_argument("--no-prune", action="store_true", help="no thresholds: every size at its floor (IS space only)")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)

@@ -38,11 +38,9 @@ LOG10_SLACK = 1e-9
 GLOBAL_SCOPE = "global"
 
 
-def subset_scope(subset_id: int, size: int | None = None) -> str:
-    """Scope label for a per-subset table ("is:3", or "is:3:s5" per-size)."""
-    if size is None:
-        return f"is:{subset_id}"
-    return f"is:{subset_id}:s{size}"
+def subset_scope(subset_id: int) -> str:
+    """Scope label for a per-subset table ("is:3")."""
+    return f"is:{subset_id}"
 
 
 def fmt12(value: float) -> str:
@@ -111,26 +109,13 @@ def global_instruction_probs(corpus: Corpus) -> ProbabilityTable:
     return table_from_counts(GLOBAL_SCOPE, counts)
 
 
-def subset_instruction_probs(
-    corpus: Corpus, subset: InstructionSubset, size: int | None = None
-) -> ProbabilityTable:
-    """Instruction probabilities over the units covered by one subset.
-
-    Counts run over all covered units regardless of their size; pass
-    ``size`` to restrict the counts to covered units of exactly that size
-    (a stricter per-size variant kept for comparison).
-    """
+def subset_instruction_probs(corpus: Corpus, subset: InstructionSubset) -> ProbabilityTable:
+    """Instruction probabilities over the units covered by one subset, of
+    every size (the paper's per-IS formulation)."""
     counts: Counter = Counter()
-    n_units = 0
     for unit_id in subset.covered_units:
-        unit = corpus.unit_by_id[unit_id]
-        if size is not None and unit.size != size:
-            continue
-        counts.update(unit.instructions)
-        n_units += 1
-    if n_units == 0:
-        raise ValueError(f"subset {subset.id} has no covered units" + (f" of size {size}" if size else ""))
-    return table_from_counts(subset_scope(subset.id, size), counts)
+        counts.update(corpus.unit_by_id[unit_id].instructions)
+    return table_from_counts(subset_scope(subset.id), counts)
 
 
 def solution_probability(table: ProbabilityTable, instructions: Iterable[str]) -> float:

@@ -32,7 +32,6 @@ class InstructionSubset:
 
 @dataclass(frozen=True)
 class SubsetFamily:
-    cap: int
     subsets: tuple[InstructionSubset, ...]
     excluded_units: tuple[str, ...] = ()
 
@@ -45,16 +44,19 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
 
     Units with more than ``cap`` unique instructions cannot fit any subset;
     they are excluded from the family and reported via ``excluded_units``.
+    Raises ValueError when no unit fits, rather than return an empty family.
     Deterministic: ties in unit ordering keep corpus order, and candidate
     subsets are scanned in creation order.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
+    kept = [u for u in corpus.units if len(u.unique_instructions) <= cap]
+    if not kept:
+        raise ValueError(f"no unit has at most {cap} unique instructions")
     excluded = [u.id for u in corpus.units if len(u.unique_instructions) > cap]
     if excluded:
         logger.warning("excluding %d units with more than %d unique instructions", len(excluded), cap)
-    kept = [u for u in corpus.units if len(u.unique_instructions) <= cap]
 
     ordered = sorted(kept, key=lambda u: -len(u.unique_instructions))
     members: list[set[str]] = []
@@ -74,7 +76,7 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
         InstructionSubset(id=i, members=frozenset(m), covered_units=tuple(c))
         for i, (m, c) in enumerate(zip(members, covered))
     )
-    return SubsetFamily(cap=cap, subsets=subsets, excluded_units=tuple(excluded))
+    return SubsetFamily(subsets=subsets, excluded_units=tuple(excluded))
 
 
 def covering_subsets(unique_instructions: Collection[str], family: SubsetFamily) -> list[InstructionSubset]:
@@ -99,12 +101,9 @@ def save_family(family: SubsetFamily, out: IO[str] | str | Path) -> None:
         out.write(json.dumps(record) + "\n")
 
 
-def load_family(path: str | Path, cap: int | None = None) -> SubsetFamily:
-    """Load a subset family written by save_family.
-
-    The file format does not carry the clustering cap; pass it explicitly
-    or it is inferred as the largest member count present.
-    """
+def load_family(path: str | Path) -> SubsetFamily:
+    """Load a subset family written by save_family (which does not record
+    the clustering cap or the excluded units)."""
     with open(path, "r", encoding="utf-8") as f:
         lines = [line for line in f if line.strip()]
     if not lines:
@@ -122,6 +121,4 @@ def load_family(path: str | Path, cap: int | None = None) -> SubsetFamily:
             )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"malformed subset family file {path}: {exc}") from None
-    if cap is None:
-        cap = max(len(s.members) for s in subsets)
-    return SubsetFamily(cap=cap, subsets=tuple(subsets))
+    return SubsetFamily(subsets=tuple(subsets))

@@ -253,23 +253,6 @@ def save_test_spec(spec: TestCaseSpec, out: IO[str] | str | Path) -> None:
     out.write("\n")
 
 
-@dataclass(frozen=True)
-class WideningSchedule:
-    """Iterative threshold widening: each round lowers every size's threshold
-    by ``step_log10`` until it reaches its floor (the minimum possible
-    solution probability at that size).
-    """
-
-    step_log10: float = -2.0
-    max_rounds: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (-math.inf < self.step_log10 < 0):
-            raise ValueError(f"step_log10 must be finite and negative, got {self.step_log10}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-
-
 @dataclass
 class SearchReport:
     """Outcome and node accounting for one synthesis run."""
@@ -325,26 +308,21 @@ def synthesize(
     spec: TestCaseSpec,
     scopes: Sequence[Scope],
     max_size: int,
-    schedule: WideningSchedule | None = None,
-    prune: bool = True,
+    step_log10: float = -2.0,
 ) -> SearchReport:
     """Search for a program of at most ``max_size`` instructions satisfying the spec.
 
     Scopes are tried in the given order within each widening round; the
     first candidate that is admissible at its size and passes every test
-    case wins. An exhausted schedule (all thresholds at their floors with
-    no solution) yields an empty report. Scopes without thresholds
-    (``Scope.without_thresholds``) start at their floors, so one round
-    tests every program over each scope's instructions.
+    case wins. Each round lowers every size's threshold by ``step_log10``
+    more, down to its floor (the minimum possible solution probability at
+    that size); a round with every threshold at its floor is the last,
+    and an exhausted schedule yields an empty report. Scopes without
+    thresholds (``Scope.without_thresholds``) start at their floors, so
+    one round tests every program over each scope's instructions: the
+    baseline for measuring what the thresholds save.
 
-    The thresholds define which candidates are tested; the admissible cut
-    of whole branches is the search optimization on top. ``prune=False``
-    disables only the cut, so the run enumerates the same candidate space
-    in the same order and returns the same solution while expanding at
-    least as many nodes, which makes it the baseline for measuring what
-    pruning saves.
-
-    Both runs skip the subtree of a prefix dominated by an earlier prefix
+    The search skips the subtree of a prefix dominated by an earlier prefix
     of the same length: same stack states on every case, log-probability
     no higher. Any admissible solution through the dominated prefix P' has
     a twin through the earlier prefix P with the same suffix, the same
@@ -355,13 +333,14 @@ def synthesize(
     at most ``max_size - 2`` instructions; ``nodes_deduped`` counts the
     subtrees it skips, whose roots are still counted as expanded.
 
-    Raises ValueError, before any search, when a scope holds an
+    Raises ValueError, before any search, when ``max_size`` is below 1,
+    ``step_log10`` is not finite and negative, or a scope holds an
     instruction outside the DSL.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if schedule is None:
-        schedule = WideningSchedule()
+    if not (-math.inf < step_log10 < 0):
+        raise ValueError(f"step_log10 must be finite and negative, got {step_log10}")
 
     searches = [_SubsetSearch(scope, max_size) for scope in scopes]
 
@@ -369,14 +348,14 @@ def synthesize(
     schedule_used: list[float] = []
     solution: tuple[str, ...] | None = None
     solved_subset: int | None = None
-    while solution is None and len(schedule_used) != schedule.max_rounds:  # None: no limit
-        offset = len(schedule_used) * schedule.step_log10
+    while solution is None:
+        offset = len(schedule_used) * step_log10
         schedule_used.append(offset)
         all_floored = True
         for search in searches:
             active, tail_min, at_floor = search.round_thresholds(offset, max_size)
             all_floored &= at_floor
-            solution = _dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
+            solution = _dfs_subset(search, spec, max_size, active, tail_min, counters)
             if solution is not None:
                 solved_subset = search.subset_id
                 break
@@ -401,17 +380,15 @@ def _dfs_subset(
     active: list[float],
     tail_min: list[float],
     counters: dict,
-    prune: bool,
 ) -> tuple[str, ...] | None:
     steps = search.steps
     width = len(steps)
     expected = [case.expected for case in spec.cases]
-    # Per length: the test bound, and the cut bound (none without pruning).
-    # At max_size the two agree: tail_min[max_size] is active[max_size].
+    # Per length: the test bound, and the cut bound. At max_size the two
+    # agree: tail_min[max_size] is active[max_size].
     admit = [a - LOG10_SLACK for a in active]
-    cut = [t - LOG10_SLACK for t in tail_min] if prune else [-math.inf] * (max_size + 1)
+    cut = [t - LOG10_SLACK for t in tail_min]
     leaf_bound = admit[max_size]
-    below_leaf_bound = "pruned" if prune else "expanded"
 
     # Per length: repr(states) -> best log-probability of a prefix that
     # left them. Kept up to max_size - 2, where a skipped subtree still
@@ -427,7 +404,7 @@ def _dfs_subset(
         for i, (instruction, step_logp, arity, fn) in enumerate(steps):
             if logp + step_logp < leaf_bound:
                 counters["expanded"] += i
-                counters[below_leaf_bound] += width - i
+                counters["pruned"] += width - i
                 return None
             for state, exp in zip(states, expected):
                 if state is None or len(state) < arity:

@@ -42,6 +42,8 @@ from probsynth import (
 )
 from fractions import Fraction
 
+from test_synth import uncut_synthesize
+
 
 def report(number, name, ok, detail=""):
     print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -142,7 +144,7 @@ class TestCriterion5ReductionTrend:
         reductions = {s: [] for s in sizes}
         for subset in clustered_family.subsets:
             scope = clustered_scopes[subset.id]
-            for m in measure(scope.table, scope.thresholds, sizes, is_cap=clustered_family.cap):
+            for m in measure(scope.table, scope.thresholds, sizes, is_cap=10):  # clustered_family's cap
                 reductions[m.size].append(m.reduction_oom)
         elapsed = time.monotonic() - started
         medians = {s: statistics.median(v) for s, v in reductions.items() if v}
@@ -227,7 +229,7 @@ class TestCriterion7SynthesizerPruneBenefit:
         for unit, cover_id, log_prob, base in planted:
             spec = cases_from_program(unit.instructions, PROBES)
             pruned = synthesize(spec, scopes, max_size=unit.size)
-            baseline = synthesize(spec, scopes, max_size=unit.size, prune=False)
+            baseline = uncut_synthesize(spec, scopes, unit.size)
             if pruned.solution is not None and satisfies(pruned.solution, spec):
                 n_sound += 1
             if pruned.nodes_expanded < baseline.nodes_expanded:

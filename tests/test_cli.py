@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import re
+import shlex
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,7 @@ class TestGenCluster:
         ]) == 0
         assert run(["cluster", "--cap", "10", "-i", str(corpus_path), "-o", str(family_path)]) == 0
         corpus = load_corpus(corpus_path)
-        family = load_family(family_path, cap=10)
+        family = load_family(family_path)
         assert len(family.subsets) > 0
         covered = {uid for s in family.subsets for uid in s.covered_units}
         kept = {u.id for u in corpus.units if len(u.unique_instructions) <= 10}
@@ -42,6 +47,16 @@ class TestGenCluster:
         assert run(args + ["-o", str(a)]) == 0
         assert run(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_output_mode_follows_umask(self, tmp_path, umask):
+        out = tmp_path / "c.jsonl"
+        previous = os.umask(umask)
+        try:
+            assert run(["gen", "--units", "10", "--seed", "1", "-o", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     def test_gen_dsl_programs(self, tmp_path):
         out = tmp_path / "dsl.jsonl"
@@ -110,18 +125,16 @@ class TestExitCodes:
             ["measure", "--sizes", "1..2", "--threads", "-1"],
             ["measure", "--sizes", "0..3"],
             ["measure", "--sizes", "1..2", "--cap", "0"],
-            ["probs", "--per-size", "0"],
             ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
             ["validate", "--fractions", "0,0.5", "--seed", "1"],
             ["synth", "--spec", "spec.json", "--step", "nan"],
             ["synth", "--spec", "spec.json", "--step=-inf"],
             ["synth", "--spec", "spec.json", "--step", "1"],
-            ["synth", "--spec", "spec.json", "--max-rounds", "0"],
         ],
         ids=[
-            "threads-0", "threads-negative", "sizes-from-0", "cap-0", "probs-per-size-0",
+            "threads-0", "threads-negative", "sizes-from-0", "cap-0",
             "validate-max-size-0", "fraction-0",
-            "synth-step-nan", "synth-step-minus-inf", "synth-step-positive", "synth-max-rounds-0",
+            "synth-step-nan", "synth-step-minus-inf", "synth-step-positive",
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
@@ -161,21 +174,22 @@ class TestExitCodes:
         assert "error: argument" in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
 
-    def test_probs_per_size_without_tables_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args",
+        [["cluster"], ["synth", "--spec", "spec.json", "--max-size", "3"]],
+        ids=["cluster", "synth"],
+    )
+    def test_no_unit_fits_cap_is_runtime_error(self, tmp_path, capsys, args):
         corpus_path = write_corpus_lines(
-            tmp_path / "c.jsonl",
-            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+            tmp_path / "c.jsonl", [f'{{"id":"u{i}","instructions":["push1","push2","add"]}}' for i in range(5)]
         )
-        family_path = tmp_path / "f.jsonl"
-        assert run(["cluster", "-i", corpus_path, "-o", str(family_path)]) == 0
-        out = tmp_path / "p.csv"
-        rc = run([
-            "probs", "-i", corpus_path, "--family", str(family_path),
-            "--scope", "subsets", "--per-size", "99", "-o", str(out),
-        ])
+        save_test_spec(TestCaseSpec(cases=(TestCase((), 3),)), tmp_path / "spec.json")
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        rc = run(argv + ["-i", corpus_path, "--cap", "2", "-o", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: no unit has at most 2 unique instructions\n"
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -257,8 +271,17 @@ class TestLogging:
             err = capsys.readouterr().err
             assert err == "probsynth: WARNING: no threshold for scope global at size 1; skipping\n"
 
-    def test_excluded_units_warned(self, tmp_path, capsys, toy_corpus):
-        assert run(["cluster", "-i", toy_corpus, "--cap", "1", "-o", str(tmp_path / "f.jsonl")]) == 0
+    def test_excluded_units_warned(self, tmp_path, capsys):
+        # u0 alone fits a cap of 1: a family of no subset is an error.
+        corpus = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            [
+                '{"id":"u0","instructions":["a"]}',
+                '{"id":"u1","instructions":["a","b"]}',
+                '{"id":"u2","instructions":["a","a","b"]}',
+            ],
+        )
+        assert run(["cluster", "-i", corpus, "--cap", "1", "-o", str(tmp_path / "f.jsonl")]) == 0
         assert capsys.readouterr().err == "probsynth: WARNING: excluding 2 units with more than 1 unique instructions\n"
 
 
@@ -283,16 +306,6 @@ class TestReportCommands:
         assert "global" in scopes and any(s.startswith("is:") for s in scopes)
         for row in rows:
             assert float(row["log10_probability"]) <= 0.0
-
-    def test_probs_per_size_variant(self, pipeline):
-        tmp_path, corpus_path, family_path = pipeline
-        out = tmp_path / "probs_s3.csv"
-        assert run([
-            "probs", "-i", corpus_path, "--family", family_path,
-            "--scope", "subsets", "--per-size", "3", "-o", str(out),
-        ]) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert rows and all(r["scope"].endswith(":s3") for r in rows)
 
     def test_thresholds_with_ranges_and_pu_probs(self, pipeline):
         tmp_path, corpus_path, family_path = pipeline
@@ -409,3 +422,29 @@ class TestThreadsDeterminism:
             ]) == 0
             outputs[threads] = out.read_bytes()
         assert outputs["1"] == outputs["8"]
+
+
+class TestReadme:
+    """The README names only commands and flags the parser has, so deleting
+    an option cannot leave the docs describing it."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_every_command_parses(self):
+        text = self.README.read_text(encoding="utf-8").replace("\\\n", " ")
+        commands = [line.split(None, 1)[1] for line in text.splitlines() if line.startswith("probsynth ")]
+        assert len(commands) >= 8
+        parser = cli._build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: probsynth {command}")
+
+    def test_every_flag_exists(self):
+        parser = cli._build_parser()
+        [commands] = [a for a in parser._actions if a.choices and a.dest == "command"]
+        known = {flag for sub in commands.choices.values() for a in sub._actions for flag in a.option_strings}
+        lines = [line for line in self.README.read_text(encoding="utf-8").splitlines() if "pip install" not in line]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+        assert named and named <= known, sorted(named - known)

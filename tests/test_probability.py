@@ -69,15 +69,6 @@ class TestSubsetProbs:
         assert 10 ** table.log10_probs["a"] == pytest.approx(0.5, rel=1e-12)
         assert 10 ** table.log10_probs["b"] == pytest.approx(0.5, rel=1e-12)
 
-    def test_per_size_variant_restricts_counts(self):
-        corpus = corpus_of(("u1", ["a", "b"]), ("u2", ["a", "a", "a"]))
-        family = cluster_subsets(corpus, cap=2)
-        table = subset_instruction_probs(corpus, family.subsets[0], size=2)
-        assert set(table.log10_probs) == {"a", "b"}
-        assert table.total_count == 2
-        with pytest.raises(ValueError):
-            subset_instruction_probs(corpus, family.subsets[0], size=7)
-
     def test_all_family_tables_normalized(self, clustered_scopes):
         for table in (s.table for s in clustered_scopes):
             assert abs(sum(10**lp for lp in table.log10_probs.values()) - 1.0) < 1e-9

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -19,7 +20,6 @@ from probsynth import (
     Fault,
     TestCase,
     TestCaseSpec,
-    WideningSchedule,
     build_scopes,
     cases_from_program,
     cluster_subsets,
@@ -207,17 +207,17 @@ class TestSynthesize:
         assert len(report.solution) <= 3
         assert satisfies(report.solution, spec)
         assert report.nodes_expanded >= 1
-        baseline = synthesize(spec, dsl_scopes, max_size=3, prune=False)
+        baseline = uncut_synthesize(spec, dsl_scopes, 3)
         assert report.nodes_expanded <= baseline.nodes_expanded
 
     def test_pruned_run_never_expands_more(self, dsl_corpus, dsl_scopes):
-        # prune=False keeps the same admissible candidate space but never
+        # The uncut search tests the same admissible candidates but never
         # cuts branches, so both runs return the same solution and the cut
         # can only save work
         planted = next(u for u in dsl_corpus.units if u.size == 4)
         spec = cases_from_program(planted.instructions, [()])
         pruned = synthesize(spec, dsl_scopes, max_size=4)
-        baseline = synthesize(spec, dsl_scopes, max_size=4, prune=False)
+        baseline = uncut_synthesize(spec, dsl_scopes, 4)
         assert pruned.solution == baseline.solution
         assert pruned.solution is not None
         assert satisfies(pruned.solution, spec)
@@ -286,25 +286,29 @@ class TestSynthesize:
 
 
 class TestWideningSchedule:
-    def test_step_must_be_negative(self):
+    """synthesize's rounds: round r lowers every threshold by r * step_log10."""
+
+    def test_step_must_be_negative(self, dsl_scopes):
         with pytest.raises(ValueError):
-            WideningSchedule(step_log10=0.5)
+            synthesize(TestCaseSpec(cases=(TestCase((), 3),)), dsl_scopes, 2, step_log10=0.5)
 
     @pytest.mark.parametrize("step", [0.0, math.nan, -math.inf, math.inf])
-    def test_step_must_be_finite_and_negative(self, step):
+    def test_step_must_be_finite_and_negative(self, dsl_scopes, step):
         with pytest.raises(ValueError, match="step_log10"):
-            WideningSchedule(step_log10=step)
+            synthesize(TestCaseSpec(cases=(TestCase((), 3),)), dsl_scopes, 2, step_log10=step)
 
-    def test_max_rounds_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_rounds"):
-            WideningSchedule(max_rounds=0)
+    @pytest.mark.parametrize("step", [-2.0, -0.75])
+    def test_step_sets_the_schedule(self, dsl_scopes, step):
+        spec = TestCaseSpec(cases=(TestCase((5,), "impossible"),))
+        report = synthesize(spec, dsl_scopes, 3, step_log10=step)
+        assert report.rounds > 1
+        assert report.threshold_schedule_used == [r * step for r in range(report.rounds)]
 
     def test_rounds_widen_monotonically(self, dsl_scopes):
         search = _SubsetSearch(dsl_scopes[0], 6)
-        schedule = WideningSchedule()
         previous = None
         for round_index in range(6):
-            active, tail_min, _ = search.round_thresholds(round_index * schedule.step_log10, 6)
+            active, tail_min, _ = search.round_thresholds(round_index * -2.0, 6)
             if previous is not None:
                 assert all(a <= p for a, p in zip(active[1:], previous[1:]))
             assert all(tail_min[s] <= active[s] for s in range(1, 7))
@@ -317,7 +321,7 @@ class TestWideningSchedule:
         assert active[1:] == search.floors[1:]
 
 
-def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune):
+def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters):
     """The depth-first search without the dominance rule, as it was before
     the rule: the oracle showing that the rule neither loses nor changes a
     solution."""
@@ -329,7 +333,7 @@ def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
         length = len(prefix) + 1
         for instruction in order:
             child_logp = logp + logps[instruction]
-            if prune and child_logp < tail_min[length] - LOG10_SLACK:
+            if child_logp < tail_min[length] - LOG10_SLACK:
                 counters["pruned"] += 1
                 continue
             counters["expanded"] += 1
@@ -362,11 +366,12 @@ def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters, prune)
     return rec([], 0.0, [list(case.inputs) for case in spec.cases])
 
 
-def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune):
+def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune=True):
     """The search loop before the leaf short-circuit, the step table and the
     sorted-tail cut: every expanded child, leaves included, is stepped
     through ``_step`` on every case, and every cut child is looked at. The
-    oracle for exact reports, node counters included."""
+    oracle for exact reports, node counters included. With ``prune=False``
+    it never cuts a branch: the uncut search of ``uncut_synthesize``."""
     order = [instruction for instruction, _, _, _ in search.steps]
     logps = {instruction: logp for instruction, logp, _, _ in search.steps}
     expected = [case.expected for case in spec.cases]
@@ -417,25 +422,43 @@ def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, pr
     return rec([], 0.0, [list(case.inputs) for case in spec.cases])
 
 
-def _check_against_oracles(spec, scopes, max_size, prune):
-    """Run synthesize with the search loop, the reference loop and the loop
-    without the dominance rule, through the same round loop. Assert a report
-    identical to the reference's, and the same outcome as without the rule
-    with no more nodes."""
-    report = synthesize(spec, scopes, max_size, prune=prune)
+def uncut_synthesize(spec, scopes, max_size):
+    """synthesize with the reference loop and no admissible cut, through the
+    same round loop: the same candidates tested in the same order, every
+    branch expanded. The baseline for what the cut saves."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("probsynth.synth._dfs_subset", functools.partial(_reference_dfs_subset, prune=False))
+        return synthesize(spec, scopes, max_size)
+
+
+def _check_against_oracles(spec, scopes, max_size):
+    """Run synthesize with the search loop, the reference loop, the loop
+    without the dominance rule and the uncut reference loop, through the
+    same round loop. Assert a report identical to the reference's, and the
+    same outcome as without the rule and without the cut, with no more
+    nodes."""
+    report = synthesize(spec, scopes, max_size)
     with pytest.MonkeyPatch.context() as m:
         m.setattr("probsynth.synth._dfs_subset", _reference_dfs_subset)
-        reference = synthesize(spec, scopes, max_size, prune=prune)
+        reference = synthesize(spec, scopes, max_size)
         m.setattr("probsynth.synth._dfs_subset", _plain_dfs_subset)
-        plain = synthesize(spec, scopes, max_size, prune=prune)
+        plain = synthesize(spec, scopes, max_size)
+    uncut = uncut_synthesize(spec, scopes, max_size)
     assert report.to_json() == reference.to_json()
     assert plain.nodes_deduped == 0
-    assert report.solution == plain.solution
-    assert report.solved_subset_id == plain.solved_subset_id
-    assert report.rounds == plain.rounds
-    assert report.threshold_schedule_used == plain.threshold_schedule_used
-    assert report.nodes_expanded <= plain.nodes_expanded
+    assert uncut.nodes_pruned_by_threshold == 0
+    for oracle in (plain, uncut):
+        assert report.solution == oracle.solution
+        assert report.solved_subset_id == oracle.solved_subset_id
+        assert report.rounds == oracle.rounds
+        assert report.threshold_schedule_used == oracle.threshold_schedule_used
+        assert report.nodes_expanded <= oracle.nodes_expanded
     return report
+
+
+def _scopes(scopes, thresholds):
+    """The scopes as given, or without thresholds (``synth --no-prune``)."""
+    return scopes if thresholds else [s.without_thresholds() for s in scopes]
 
 
 PROBES = ((0,), (2,), (3,), (5,), (7,))  # criterion 7's probe inputs
@@ -473,24 +496,26 @@ def planted_fixture():
 
 
 class TestDominanceOracle:
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_planted_specs_match_plain_search(self, planted_fixture, prune):
+    @pytest.mark.parametrize("thresholds", [True, False])
+    def test_planted_specs_match_plain_search(self, planted_fixture, thresholds):
         scopes, planted = planted_fixture
+        scopes = _scopes(scopes, thresholds)
         assert len(planted) == 18
         deduped = 0
         for program in planted:
             spec = cases_from_program(program, PROBES)
-            report = _check_against_oracles(spec, scopes, len(program), prune)
+            report = _check_against_oracles(spec, scopes, len(program))
             assert report.solution is not None and satisfies(report.solution, spec)
             deduped += report.nodes_deduped
         assert deduped > 0
 
-    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("thresholds", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, prune, seed):
+    def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, thresholds, seed):
         # Integer inputs and a list output: no instruction builds a list
-        # from integers, so the whole widening schedule runs.
-        scopes, _ = planted_fixture
+        # from integers, so the whole widening schedule runs: several
+        # rounds with thresholds, one at the floors without.
+        scopes = _scopes(planted_fixture[0], thresholds)
         rng = random.Random(seed)
         spec = TestCaseSpec(
             cases=tuple(
@@ -498,30 +523,30 @@ class TestDominanceOracle:
                 for x in rng.sample(range(-50, 51), 4)
             )
         )
-        report = _check_against_oracles(spec, scopes, 4, prune)
-        assert report.solution is None and report.rounds > 1
+        report = _check_against_oracles(spec, scopes, 4)
+        assert report.solution is None and (report.rounds > 1) == thresholds
         assert report.nodes_deduped > 0
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_list_input_spec_matches_plain_search(self, prune):
+    @pytest.mark.parametrize("thresholds", [True, False])
+    def test_list_input_spec_matches_plain_search(self, thresholds):
         alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
         corpus = random_program_corpus(
             120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
         )
-        scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4)
+        scopes = _scopes(build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4), thresholds)
         spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
-        report = _check_against_oracles(spec, scopes, 4, prune)
+        report = _check_against_oracles(spec, scopes, 4)
         assert report.solution is not None and satisfies(report.solution, spec)
         assert report.nodes_deduped > 0
 
-    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("thresholds", [True, False])
     @pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("expected", [[3, 1, 2], [9, 9]], ids=["drop-solves", "unsatisfiable"])
-    def test_list_output_specs_match_reference(self, dsl_scopes, expected, max_size, prune):
+    def test_list_output_specs_match_reference(self, dsl_scopes, expected, max_size, thresholds):
         # A list under an integer on the stack: at the last level, drop
         # exposes the value below the result, and swap and dup leave two.
         spec = TestCaseSpec(cases=(TestCase(([3, 1, 2], 4), expected), TestCase(([3, 1, 2], -1), expected)))
-        report = _check_against_oracles(spec, dsl_scopes, max_size, prune)
+        report = _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
         assert (report.solution is not None) == (expected == [3, 1, 2])
 
 
@@ -545,5 +570,5 @@ def small_specs(draw):
 class TestDominanceProperty:
     @settings(max_examples=60, deadline=None)
     @given(small_specs(), st.integers(1, 5), st.booleans())
-    def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, prune):
-        _check_against_oracles(spec, dsl_scopes, max_size, prune)
+    def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, thresholds):
+        _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
