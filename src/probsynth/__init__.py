@@ -35,8 +35,6 @@ from .probability import (
     table_from_counts,
 )
 from .spacecount import (
-    MULTISETS,
-    SEQUENCES,
     SpaceMeasurement,
     baseline_size,
     brute_force_count,
@@ -77,11 +75,9 @@ __all__ = [
     "GLOBAL_SCOPE",
     "InstructionSubset",
     "LOG10_SLACK",
-    "MULTISETS",
     "ProbabilityRange",
     "ProbabilityTable",
     "ProgramUnit",
-    "SEQUENCES",
     "Scope",
     "SearchReport",
     "SizeSpec",

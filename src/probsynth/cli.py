@@ -38,7 +38,7 @@ from .probability import (
     write_tables_csv,
     write_thresholds_csv,
 )
-from .spacecount import MULTISETS, SEQUENCES, fmt12, measure, write_measurements_csv
+from .spacecount import fmt12, measure, write_measurements_csv
 from .subsets import SubsetFamily, cluster_subsets, load_family, save_family
 from .synth import load_test_spec, random_program_corpus, synthesize
 from .xval import validate, write_validation_csv
@@ -85,7 +85,6 @@ def _ranged(convert: Callable, ok: Callable, bound: str) -> Callable[[str], floa
 _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
 _non_negative_int = _ranged(int, lambda v: v >= 0, ">= 0")
 _positive_float = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_negative_float = _ranged(float, lambda v: -math.inf < v < 0, "finite and < 0")
 _fraction = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -210,11 +209,7 @@ def cmd_measure(args) -> int:
     scopes = build_scopes(corpus, family, which, args.sizes.hi)
     if not any(size in scope.thresholds for scope in scopes for size in sizes):
         raise ValueError(f"no unit in scope {which} has a size in {args.sizes.lo}..{args.sizes.hi}")
-    measured = [
-        m
-        for scope in scopes
-        for m in measure(scope.table, scope.thresholds, sizes, args.cap, mode=args.mode, cumulative=args.cumulative)
-    ]
+    measured = [m for scope in scopes for m in measure(scope.table, scope.thresholds, sizes, args.cap)]
     with _atomic_output(args.output) as f:
         write_measurements_csv(measured, f)
     return 0
@@ -222,7 +217,7 @@ def cmd_measure(args) -> int:
 
 def cmd_validate(args) -> int:
     corpus = load_corpus(args.input)
-    results = validate(corpus, args.fractions, args.max_size, args.seed, args.repeats, args.train_probs)
+    results = validate(corpus, args.fractions, args.max_size, args.seed)
     if not any(result.per_size_coverage for result in results):
         raise ValueError(f"no training part has a unit of at most {args.max_size} instructions")
     with _atomic_output(args.output) as f:
@@ -237,7 +232,7 @@ def cmd_synth(args) -> int:
     scopes = build_scopes(corpus, family, "subsets", args.max_size)
     if args.no_prune:
         scopes = [scope.without_thresholds() for scope in scopes]
-    report = synthesize(spec, scopes, args.max_size, step_log10=args.step)
+    report = synthesize(spec, scopes, args.max_size)
     with _atomic_output(args.output) as f:
         json.dump(report.to_json(), f, indent=2)
         f.write("\n")
@@ -308,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
-    p.add_argument("--mode", choices=[SEQUENCES, MULTISETS], default=SEQUENCES)
-    p.add_argument("--cumulative", action="store_true", help="count all depths 1..S, not just depth S")
     _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_measure)
@@ -319,12 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_fractions, required=True, help="comma-separated training fractions in (0,1)")
     p.add_argument("--max-size", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--repeats", type=_positive_int, default=1, help="splits per fraction (per-repeat seeds)")
-    p.add_argument(
-        "--train-probs",
-        action="store_true",
-        help="stricter variant: instruction probabilities from the training part only",
-    )
     _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_validate)
@@ -334,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
     p.add_argument("--cap", type=_positive_int, default=10)
     p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
-    p.add_argument("--step", type=_negative_float, default=-2.0, help="log10 widening step per round (< 0)")
     p.add_argument("--no-prune", action="store_true", help="no thresholds: every size at its floor (IS space only)")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)

@@ -64,9 +64,6 @@ class ProbabilityTable:
     def __len__(self) -> int:
         return len(self.log10_probs)
 
-    def __contains__(self, instruction: str) -> bool:
-        return instruction in self.log10_probs
-
     @property
     def min_log10(self) -> float:
         return min(self.log10_probs.values())
@@ -74,9 +71,6 @@ class ProbabilityTable:
     @property
     def max_log10(self) -> float:
         return max(self.log10_probs.values())
-
-    def ranked_instructions(self) -> list[str]:
-        return list(self.log10_probs)
 
 
 def table_from_counts(scope: str, counts: Mapping[str, int]) -> ProbabilityTable:
@@ -142,9 +136,6 @@ class ThresholdTable:
 
     def __contains__(self, size: int) -> bool:
         return size in self.thresholds
-
-    def sizes(self) -> list[int]:
-        return list(self.thresholds)
 
 
 def _unit_log_probs(

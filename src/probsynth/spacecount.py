@@ -3,11 +3,9 @@
 A node is a candidate solution of a given size over a scope's instruction
 alphabet; it is admissible when its log10 solution probability is at least
 the threshold (minus the package-wide slack). Counts are exact arbitrary-
-precision integers in either of two modes:
-
-  sequences  -- ordered candidates; each admissible instruction multiset
-                contributes its multinomial coefficient S!/prod(m_i!)
-  multisets  -- unordered candidates; each admissible multiset counts once
+precision integers of ordered candidates (sequences), the same kind of
+object as the ``cap ** size`` baseline: each admissible instruction
+multiset contributes its multinomial coefficient S!/prod(m_i!).
 
 The counter meets in the middle (Horowitz & Sahni, JACM 1974). The
 instructions are sorted by descending probability and split in two: the
@@ -16,9 +14,8 @@ top ``h`` and the bottom ``b = k - h``.
 The bottom side is solved once, ahead of any threshold. For every total
 ``r`` up to the largest size asked for, a table holds the log10
 probabilities of all bottom multisets of total ``r`` in ascending order,
-with the suffix sums of their weights (``r!/prod(m!)`` for sequences, 1 for
-multisets). How many bottom completions clear a bound, weighted, is then
-one binary search.
+with the suffix sums of their weights ``r!/prod(m!)``. How many bottom
+completions clear a bound, weighted, is then one binary search.
 
 The top side is a depth-first branch and bound over multisets, walked with
 an explicit stack so that no alphabet size meets the recursion limit. At a
@@ -39,7 +36,7 @@ most ``k - 1``, whose tables (``C(max_size + b, b)`` entries over all
 totals) fit ``_TABLE_BUDGET`` entries, about 0.6 MB. With ``b = 0`` the
 counter is the plain branch and bound. ``measure`` builds the tables once
 per probability table, for its largest size, and every size it counts
-shares them; so do the sizes of a ``cumulative`` count.
+shares them.
 """
 
 from __future__ import annotations
@@ -52,16 +49,15 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, product
 from typing import IO, Iterable
 
 from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable, fmt12
 
 logger = logging.getLogger(__name__)
 
+# The measurement CSV's mode column: counts are always of sequences.
 SEQUENCES = "sequences"
-MULTISETS = "multisets"
-_MODES = (SEQUENCES, MULTISETS)
 
 # brute_force_count refuses anything bigger than this
 _BRUTE_FORCE_MAX_ALPHABET = 8
@@ -73,11 +69,6 @@ _BRUTE_FORCE_MAX_SIZE = 8
 _TABLE_BUDGET = 12_000
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
 def _bottom_size(k: int, max_size: int) -> int:
     """Largest bottom of at most k - 1 instructions whose tables fit the budget."""
     b = 0
@@ -86,7 +77,7 @@ def _bottom_size(k: int, max_size: int) -> int:
     return b
 
 
-def _bottom_tables(logs: list[float], max_size: int, sequences: bool) -> list[tuple[array, list[int]]]:
+def _bottom_tables(logs: list[float], max_size: int) -> list[tuple[array, list[int]]]:
     """Per total r = 0..max_size: the ascending log10 probabilities of the
     multisets of total r over ``logs``, and the suffix sums of their weights.
 
@@ -104,11 +95,8 @@ def _bottom_tables(logs: list[float], max_size: int, sequences: bool) -> list[tu
             for m in range(r + 1):
                 add = m * log
                 out_keys.extend([key + add for key in keys[r - m]])
-                if sequences:
-                    c = math.comb(r, m)
-                    out_weights.extend([w * c for w in weights[r - m]])
-                else:
-                    out_weights.extend(weights[r - m])
+                c = math.comb(r, m)
+                out_weights.extend([w * c for w in weights[r - m]])
             new_keys.append(out_keys)
             new_weights.append(out_weights)
         keys, weights = new_keys, new_weights
@@ -127,27 +115,25 @@ class _Counter:
     input, and only tests set it.
     """
 
-    def __init__(self, table: ProbabilityTable, max_size: int, sequences: bool, bottom: int | None = None):
+    def __init__(self, table: ProbabilityTable, max_size: int, bottom: int | None = None):
         self.table = table
         self.max_size = max_size
-        self.sequences = sequences
         self.logs = sorted(table.log10_probs.values(), reverse=True)
         k = len(self.logs)
         if bottom is None:
             bottom = _bottom_size(k, max_size)
         self.top = k - bottom
-        self.tables = _bottom_tables(self.logs[self.top :], max_size, sequences)
+        self.tables = _bottom_tables(self.logs[self.top :], max_size)
 
-    def serves(self, table: ProbabilityTable, size: int, sequences: bool) -> bool:
-        return table is self.table and size <= self.max_size and sequences == self.sequences
+    def serves(self, table: ProbabilityTable, size: int) -> bool:
+        return table is self.table and size <= self.max_size
 
     def count(self, size: int, threshold: float) -> int:
         """Admissible candidates of exactly ``size`` instructions."""
-        logs, top, tables, sequences = self.logs, self.top, self.tables, self.sequences
+        logs, top, tables = self.logs, self.top, self.tables
         k = len(logs)
         worst = logs[-1]
         limit = threshold - LOG10_SLACK
-        comb = math.comb
         if top == 0:
             keys, suffix = tables[size]
             return suffix[bisect_left(keys, limit)]
@@ -157,8 +143,8 @@ class _Counter:
         if size * logs[0] < limit:
             return 0
         if size * worst >= limit:
-            return k**size if sequences else comb(size + k - 1, k - 1)
-        binomials = [[comb(r, m) for m in range(r + 1)] for r in range(size + 1)] if sequences else []
+            return k**size
+        binomials = [[math.comb(r, m) for m in range(r + 1)] for r in range(size + 1)]
         total = 0
         # Partials that are neither cut nor closed by the bounds:
         # (next instruction, slots left, log10 so far, weight so far).
@@ -179,7 +165,7 @@ class _Counter:
                         break
                     keys, suffix = tables[r]
                     found = suffix[bisect_left(keys, limit - child_logp)]
-                    total += coeff * binomials[remaining][m] * found if sequences else found
+                    total += coeff * binomials[remaining][m] * found
                 continue
             bound = logs[nxt]
             n = k - nxt
@@ -188,9 +174,9 @@ class _Counter:
                 r = remaining - m
                 if child_logp + r * bound < limit:
                     break
-                c = coeff * binomials[remaining][m] if sequences else 1
+                c = coeff * binomials[remaining][m]
                 if child_logp + r * worst >= limit:
-                    total += c * n**r if sequences else comb(r + n - 1, n - 1)
+                    total += c * n**r
                 else:
                     push((nxt, r, child_logp, c))
         return total
@@ -209,43 +195,23 @@ def _sharing(counter: _Counter | None):
         _shared_counter.reset(token)
 
 
-def count_admissible(
-    table: ProbabilityTable,
-    size: int,
-    threshold: float,
-    mode: str = SEQUENCES,
-    cumulative: bool = False,
-) -> int:
-    """Exact number of admissible candidates at ``size`` over the table's alphabet.
-
-    With ``cumulative`` the candidates of every depth 1..size are counted
-    against the same threshold (the interior-node variant of the space).
-    """
-    _check_mode(mode)
+def count_admissible(table: ProbabilityTable, size: int, threshold: float) -> int:
+    """Exact number of admissible candidates at ``size`` over the table's alphabet."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if not table.log10_probs:
         raise ValueError("probability table is empty")
-    sequences = mode == SEQUENCES
     counter = _shared_counter.get()
-    if counter is None or not counter.serves(table, size, sequences):
-        counter = _Counter(table, size, sequences)
-    sizes = range(1, size + 1) if cumulative else (size,)
-    return sum(counter.count(s, threshold) for s in sizes)
+    if counter is None or not counter.serves(table, size):
+        counter = _Counter(table, size)
+    return counter.count(size, threshold)
 
 
-def brute_force_count(
-    table: ProbabilityTable,
-    size: int,
-    threshold: float,
-    mode: str = SEQUENCES,
-    cumulative: bool = False,
-) -> int:
+def brute_force_count(table: ProbabilityTable, size: int, threshold: float) -> int:
     """Test oracle: full enumeration with no pruning, same admissibility rule.
 
     Guarded to alphabets of at most 8 instructions and sizes of at most 8.
     """
-    _check_mode(mode)
     if len(table.log10_probs) > _BRUTE_FORCE_MAX_ALPHABET or size > _BRUTE_FORCE_MAX_SIZE:
         raise ValueError(
             f"brute force guard: need alphabet <= {_BRUTE_FORCE_MAX_ALPHABET} and "
@@ -255,17 +221,7 @@ def brute_force_count(
         raise ValueError(f"size must be >= 1, got {size}")
     logs = list(table.log10_probs.values())
     limit = threshold - LOG10_SLACK
-    sizes = range(1, size + 1) if cumulative else (size,)
-    count = 0
-    for s in sizes:
-        if mode == SEQUENCES:
-            candidates = product(logs, repeat=s)
-        else:
-            candidates = combinations_with_replacement(logs, s)
-        for candidate in candidates:
-            if sum(candidate) >= limit:
-                count += 1
-    return count
+    return sum(1 for candidate in product(logs, repeat=size) if sum(candidate) >= limit)
 
 
 def baseline_size(is_cap: int, size: int) -> int:
@@ -287,16 +243,10 @@ class SpaceMeasurement:
     admissible_count: int
     baseline_count: int
     reduction_oom: float
-    mode: str
 
 
 def measure(
-    table: ProbabilityTable,
-    thresholds: ThresholdTable,
-    sizes: Iterable[int],
-    is_cap: int,
-    mode: str = SEQUENCES,
-    cumulative: bool = False,
+    table: ProbabilityTable, thresholds: ThresholdTable, sizes: Iterable[int], is_cap: int
 ) -> list[SpaceMeasurement]:
     """Measure admissible space and baseline reduction for each requested size.
 
@@ -304,10 +254,9 @@ def measure(
     pruned space (admissible count 0) yields an infinite reduction, kept
     as the float infinity sentinel.
     """
-    _check_mode(mode)
     sizes = list(sizes)
     counted = [size for size in sizes if size in thresholds.thresholds]
-    counter = _Counter(table, max(counted), mode == SEQUENCES) if counted else None
+    counter = _Counter(table, max(counted)) if counted else None
     out = []
     with _sharing(counter):
         for size in sizes:
@@ -315,7 +264,7 @@ def measure(
                 logger.warning("no threshold for scope %s at size %d; skipping", thresholds.scope, size)
                 continue
             threshold = thresholds.thresholds[size]
-            admissible = count_admissible(table, size, threshold, mode=mode, cumulative=cumulative)
+            admissible = count_admissible(table, size, threshold)
             baseline = baseline_size(is_cap, size)
             if admissible == 0:
                 reduction = math.inf
@@ -329,7 +278,6 @@ def measure(
                     admissible_count=admissible,
                     baseline_count=baseline,
                     reduction_oom=reduction,
-                    mode=mode,
                 )
             )
     return out
@@ -346,7 +294,7 @@ def write_measurements_csv(measurements: Iterable[SpaceMeasurement], out: IO[str
             [
                 m.scope,
                 str(m.size),
-                m.mode,
+                SEQUENCES,
                 fmt12(m.threshold),
                 str(m.admissible_count),
                 str(m.baseline_count),

@@ -14,9 +14,10 @@ every threshold it could still reach (the per-size thresholds for sizes L
 and up); since adding instructions only lowers the probability, this cut
 never removes a candidate the thresholds admit. If a full sweep at one
 threshold level fails, all thresholds are widened by a fixed log10 step
-and the sweep repeats, down to the minimum possible probability per size
-(its floor). A size with no threshold sits at its floor from the start,
-so scopes without thresholds search the whole subset space in one round.
+(``WIDENING_STEP_LOG10``, two orders of magnitude) and the sweep repeats,
+down to the minimum possible probability per size (its floor). A size
+with no threshold sits at its floor from the start, so scopes without
+thresholds search the whole subset space in one round.
 
 Children are generated in descending log-probability, and adding a fixed
 log-probability to each keeps that order (float addition is monotone), so
@@ -40,7 +41,6 @@ would.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -52,6 +52,9 @@ from .probability import LOG10_SLACK, Scope
 
 INT_LIMIT = 2**63
 LIST_LIMIT = 1024
+
+# How far each widening round lowers every threshold, in log10.
+WIDENING_STEP_LOG10 = -2.0
 
 
 @dataclass(frozen=True)
@@ -304,23 +307,18 @@ class _SubsetSearch:
         return active, tail_min, at_floor
 
 
-def synthesize(
-    spec: TestCaseSpec,
-    scopes: Sequence[Scope],
-    max_size: int,
-    step_log10: float = -2.0,
-) -> SearchReport:
+def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> SearchReport:
     """Search for a program of at most ``max_size`` instructions satisfying the spec.
 
     Scopes are tried in the given order within each widening round; the
     first candidate that is admissible at its size and passes every test
-    case wins. Each round lowers every size's threshold by ``step_log10``
-    more, down to its floor (the minimum possible solution probability at
-    that size); a round with every threshold at its floor is the last,
-    and an exhausted schedule yields an empty report. Scopes without
-    thresholds (``Scope.without_thresholds``) start at their floors, so
-    one round tests every program over each scope's instructions: the
-    baseline for measuring what the thresholds save.
+    case wins. Each round lowers every size's threshold by
+    ``WIDENING_STEP_LOG10`` more, down to its floor (the minimum possible
+    solution probability at that size); a round with every threshold at
+    its floor is the last, and an exhausted schedule yields an empty
+    report. Scopes without thresholds (``Scope.without_thresholds``) start
+    at their floors, so one round tests every program over each scope's
+    instructions: the baseline for measuring what the thresholds save.
 
     The search skips the subtree of a prefix dominated by an earlier prefix
     of the same length: same stack states on every case, log-probability
@@ -333,14 +331,11 @@ def synthesize(
     at most ``max_size - 2`` instructions; ``nodes_deduped`` counts the
     subtrees it skips, whose roots are still counted as expanded.
 
-    Raises ValueError, before any search, when ``max_size`` is below 1,
-    ``step_log10`` is not finite and negative, or a scope holds an
-    instruction outside the DSL.
+    Raises ValueError, before any search, when ``max_size`` is below 1 or
+    a scope holds an instruction outside the DSL.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    if not (-math.inf < step_log10 < 0):
-        raise ValueError(f"step_log10 must be finite and negative, got {step_log10}")
 
     searches = [_SubsetSearch(scope, max_size) for scope in scopes]
 
@@ -349,7 +344,7 @@ def synthesize(
     solution: tuple[str, ...] | None = None
     solved_subset: int | None = None
     while solution is None:
-        offset = len(schedule_used) * step_log10
+        offset = len(schedule_used) * WIDENING_STEP_LOG10
         schedule_used.append(offset)
         all_floored = True
         for search in searches:

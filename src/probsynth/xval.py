@@ -4,11 +4,9 @@ For each training fraction the corpus is split uniformly at random into a
 training and a test part; thresholds are the per-size minimum solution
 probabilities observed in the training part, and coverage is the
 percentage of test units (per size) whose solution probability clears the
-threshold for their size. Instruction probabilities default to the full
-corpus, matching the protocol this reproduces; ``probs_from_train``
-switches to the stricter variant where they too come from the training
-part only. Each unit's solution probability is computed once per table:
-once per call by default, once per split with ``probs_from_train``.
+threshold for their size. Instruction probabilities come from the full
+corpus, matching the protocol this reproduces, so each unit's solution
+probability is computed once per call and shared by every split.
 """
 
 from __future__ import annotations
@@ -16,19 +14,11 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .corpus import Corpus, ProgramUnit
-from .probability import (
-    GLOBAL_SCOPE,
-    LOG10_SLACK,
-    build_scopes,
-    fmt12,
-    solution_probability,
-    table_from_counts,
-)
+from .corpus import Corpus
+from .probability import GLOBAL_SCOPE, LOG10_SLACK, build_scopes, fmt12
 
 
 def _split_indices(n: int, fraction: float, seed: int) -> set[int]:
@@ -71,25 +61,6 @@ class ValidationResult:
         return sum(self.per_size_coverage.values()) / len(self.per_size_coverage)
 
 
-def _train_log_probs(units: Sequence[ProgramUnit], train: set[int], max_size: int) -> list[float | None]:
-    """Every unit's log10 solution probability under the training part's
-    table; -inf for a unit with an instruction the training part lacks."""
-    counts: Counter = Counter()
-    for i in train:
-        counts.update(units[i].instructions)
-    table = table_from_counts(GLOBAL_SCOPE, counts)
-    log_probs: list[float | None] = []
-    for unit in units:
-        if unit.size > max_size:
-            log_probs.append(None)
-            continue
-        try:
-            log_probs.append(solution_probability(table, unit.instructions))
-        except KeyError:
-            log_probs.append(-math.inf)  # instruction unseen in training: not covered
-    return log_probs
-
-
 def _split_result(
     fraction: float, seed: int, sizes: Sequence[int], log_probs: Sequence[float | None], train: set[int], max_size: int
 ) -> ValidationResult:
@@ -123,30 +94,22 @@ def validate(
     fractions: Sequence[float],
     max_size: int,
     seed: int,
-    repeats: int = 1,
-    probs_from_train: bool = False,
 ) -> list[ValidationResult]:
     """Run the threshold cross-validation sweep over training fractions.
 
-    One split per (fraction, repeat) with per-repeat seeds; every repeat is
-    reported separately. Sizes 1..max_size that the training part never
-    exhibits are listed in ``sizes_without_threshold``.
+    One split per fraction, each drawn with ``seed``. Sizes 1..max_size
+    that the training part never exhibits are listed in
+    ``sizes_without_threshold``.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     units = corpus.units
     sizes = [unit.size for unit in units]
-    if not probs_from_train:
-        [scope] = build_scopes(corpus, None, GLOBAL_SCOPE, max_size)
-        by_id = dict(zip(scope.unit_ids, scope.unit_log10_probs))
-        full_log_probs = [by_id.get(unit.id) for unit in units]
-    results = []
-    for fraction in fractions:
-        for rep_seed in range(seed, seed + repeats):
-            train = _split_indices(len(units), fraction, rep_seed)
-            log_probs = _train_log_probs(units, train, max_size) if probs_from_train else full_log_probs
-            results.append(_split_result(fraction, rep_seed, sizes, log_probs, train, max_size))
-    return results
+    [scope] = build_scopes(corpus, None, GLOBAL_SCOPE, max_size)
+    by_id = dict(zip(scope.unit_ids, scope.unit_log10_probs))
+    log_probs = [by_id.get(unit.id) for unit in units]
+    return [
+        _split_result(fraction, seed, sizes, log_probs, _split_indices(len(units), fraction, seed), max_size)
+        for fraction in fractions
+    ]
 
 
 def write_validation_csv(results: Iterable[ValidationResult], out: IO[str]) -> None:

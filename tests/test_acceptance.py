@@ -20,8 +20,6 @@ import pytest
 
 from probsynth import (
     DSL_ALPHABET,
-    MULTISETS,
-    SEQUENCES,
     baseline_size,
     brute_force_count,
     build_scopes,
@@ -55,16 +53,15 @@ class TestCriterion1OracleEquivalence:
         rng = random.Random(1001)
         started = time.monotonic()
         checked = 0
-        for _ in range(100):
+        for _ in range(200):
             k = rng.randint(2, 5)
             table = table_from_counts("global", {f"x{i}": rng.randint(1, 50) for i in range(k)})
             size = rng.randint(1, 6)
             threshold = rng.uniform(size * table.min_log10 - 1.0, size * table.max_log10 + 1.0)
-            for mode in (SEQUENCES, MULTISETS):
-                fast = count_admissible(table, size, threshold, mode)
-                slow = brute_force_count(table, size, threshold, mode)
-                assert fast == slow, (table.counts, size, threshold, mode, fast, slow)
-                checked += 1
+            fast = count_admissible(table, size, threshold)
+            slow = brute_force_count(table, size, threshold)
+            assert fast == slow, (table.counts, size, threshold, fast, slow)
+            checked += 1
         elapsed = time.monotonic() - started
         report(
             1,
@@ -129,10 +126,10 @@ class TestCriterion4ThresholdExtremes:
                 above = size * table.max_log10 + 1e-6
                 below = size * table.min_log10 - 1e-6
                 at_min = size * table.min_log10
-                assert count_admissible(table, size, above, SEQUENCES) == 0
+                assert count_admissible(table, size, above) == 0
                 full = baseline_size(len(table.log10_probs), size)
-                assert count_admissible(table, size, below, SEQUENCES) == full
-                assert count_admissible(table, size, at_min, SEQUENCES) == full
+                assert count_admissible(table, size, below) == full
+                assert count_admissible(table, size, at_min) == full
                 checked += 1
         report(4, "threshold extremes", True, f"{checked} (table, size) pairs at both extremes")
 

@@ -40,7 +40,7 @@ class TestGlobalProbs:
     def test_top_rank_matches_harmonic_prediction(self, zipf_corpus):
         table = global_instruction_probs(zipf_corpus)
         h200 = sum(1 / k for k in range(1, 201))
-        top = table.ranked_instructions()[0]
+        top = list(table.log10_probs)[0]
         assert 10 ** table.log10_probs[top] == pytest.approx(1 / h200, rel=0.10)
 
     def test_normalization(self, zipf_corpus):
@@ -49,7 +49,7 @@ class TestGlobalProbs:
 
     def test_rank_order_spans_orders_of_magnitude(self, zipf_corpus):
         table = global_instruction_probs(zipf_corpus)
-        ordered = [table.log10_probs[i] for i in table.ranked_instructions()]
+        ordered = list(table.log10_probs.values())
         assert all(a >= b for a, b in zip(ordered, ordered[1:]))
         assert ordered[0] - ordered[-1] > 2.0
 
@@ -133,7 +133,7 @@ class TestDeriveThresholds:
         table = table_from_counts("global", {"a": 2, "b": 1})
         thr = derive_thresholds(corpus, table, ["u1"], max_size=10)
         assert thr.thresholds[3] == solution_probability(table, ["a", "b", "a"])
-        assert thr.sizes() == [3]
+        assert list(thr.thresholds) == [3]
 
     def test_unsupported_sizes_absent(self):
         corpus = corpus_of(("u1", ["a", "a"]))
@@ -145,7 +145,7 @@ class TestDeriveThresholds:
         corpus = corpus_of(("u1", ["a"] * 5), ("u2", ["a"]))
         table = table_from_counts("global", {"a": 1})
         thr = derive_thresholds(corpus, table, ["u1", "u2"], max_size=3)
-        assert thr.sizes() == [1]
+        assert list(thr.thresholds) == [1]
 
     def test_every_unit_clears_its_threshold(self, clustered_corpus):
         table = global_instruction_probs(clustered_corpus)

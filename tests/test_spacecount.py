@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from probsynth import (
     LOG10_SLACK,
-    MULTISETS,
-    SEQUENCES,
     Corpus,
     ProgramUnit,
     ThresholdTable,
@@ -38,29 +36,23 @@ def random_table(rng, k):
 
 class TestCountAdmissible:
     def test_uniform_all_admissible(self):
-        assert count_admissible(UNIFORM2, 2, math.log10(0.25), SEQUENCES) == 4
+        assert count_admissible(UNIFORM2, 2, math.log10(0.25)) == 4
 
     def test_skewed_single_survivor(self):
-        assert count_admissible(SKEWED2, 2, math.log10(0.5), SEQUENCES) == 1
-
-    def test_multisets_mode(self):
-        # aa, ab, bb as multisets; all clear a threshold of bb's probability
-        assert count_admissible(UNIFORM2, 2, math.log10(0.25), MULTISETS) == 3
+        assert count_admissible(SKEWED2, 2, math.log10(0.5)) == 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             count_admissible(UNIFORM2, 0, 0.0)
-        with pytest.raises(ValueError):
-            count_admissible(UNIFORM2, 2, 0.0, mode="orderings")
 
 
 class TestBruteForce:
     def test_single_instruction(self):
         table = table_from_counts("global", {"a": 1})
-        assert brute_force_count(table, 5, math.log10(1.0), SEQUENCES) == 1
+        assert brute_force_count(table, 5, math.log10(1.0)) == 1
 
     def test_nothing_reaches_probability_one(self):
-        assert brute_force_count(UNIFORM2, 3, 0.0, SEQUENCES) == 0
+        assert brute_force_count(UNIFORM2, 3, 0.0) == 0
 
     def test_guard(self):
         big = table_from_counts("global", {f"x{i}": 1 for i in range(9)})
@@ -79,10 +71,7 @@ class TestOracleEquivalence:
             lo = size * table.min_log10
             hi = size * table.max_log10
             threshold = rng.uniform(lo - 1.0, hi + 1.0)
-            for mode in (SEQUENCES, MULTISETS):
-                assert count_admissible(table, size, threshold, mode) == brute_force_count(
-                    table, size, threshold, mode
-                )
+            assert count_admissible(table, size, threshold) == brute_force_count(table, size, threshold)
 
     def test_thresholds_exactly_at_candidate_probabilities(self):
         rng = random.Random(55)
@@ -92,10 +81,7 @@ class TestOracleEquivalence:
             size = rng.randint(1, 5)
             multiset = rng.choices(names, k=size)
             threshold = solution_probability(table, multiset)
-            for mode in (SEQUENCES, MULTISETS):
-                assert count_admissible(table, size, threshold, mode) == brute_force_count(
-                    table, size, threshold, mode
-                )
+            assert count_admissible(table, size, threshold) == brute_force_count(table, size, threshold)
 
     def test_inverse_rank_table_percentile_threshold(self):
         # probabilities proportional to 1/rank over 8 instructions
@@ -109,24 +95,10 @@ class TestOracleEquivalence:
             for _ in range(1000)
         )
         threshold = samples[249]
-        for mode in (SEQUENCES, MULTISETS):
-            assert count_admissible(table, 6, threshold, mode) == brute_force_count(
-                table, 6, threshold, mode
-            )
-
-    def test_cumulative_matches_brute_force(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            table = random_table(rng, rng.randint(2, 4))
-            size = rng.randint(1, 5)
-            threshold = rng.uniform(size * table.min_log10 - 0.5, 0.0)
-            for mode in (SEQUENCES, MULTISETS):
-                assert count_admissible(
-                    table, size, threshold, mode, cumulative=True
-                ) == brute_force_count(table, size, threshold, mode, cumulative=True)
+        assert count_admissible(table, 6, threshold) == brute_force_count(table, 6, threshold)
 
 
-# Most candidates brute_force_count enumerates for one sequences check.
+# Most candidates brute_force_count enumerates for one check.
 _BRUTE_FORCE_SEQUENCES = 5000
 
 
@@ -150,15 +122,15 @@ def counting_cases(draw):
 
 class TestSplitPoints:
     @settings(max_examples=150, deadline=None)
-    @given(counting_cases(), st.sampled_from([SEQUENCES, MULTISETS]), st.booleans())
-    def test_every_split_matches_brute_force(self, case, mode, cumulative):
+    @given(counting_cases())
+    def test_every_split_matches_brute_force(self, case):
         table, size, threshold = case
-        expected = brute_force_count(table, size, threshold, mode, cumulative)
-        assert count_admissible(table, size, threshold, mode, cumulative) == expected
+        expected = brute_force_count(table, size, threshold)
+        assert count_admissible(table, size, threshold) == expected
         k = len(table)
         for top in range(k + 1):
-            with _sharing(_Counter(table, size, mode == SEQUENCES, bottom=k - top)):
-                assert count_admissible(table, size, threshold, mode, cumulative) == expected, top
+            with _sharing(_Counter(table, size, bottom=k - top)):
+                assert count_admissible(table, size, threshold) == expected, top
 
     def test_large_alphabet_has_no_recursion_limit(self):
         # 1,100 instructions whose pairs sit exactly at the threshold: a
@@ -175,7 +147,7 @@ class TestSplitPoints:
             na * nb for a, na in multiplicity.items() for b, nb in multiplicity.items() if a + b >= limit
         )
         assert pairs == 2 * 3_000 - 1 + 1_100**2
-        assert count_admissible(table, 2, threshold, SEQUENCES) == pairs
+        assert count_admissible(table, 2, threshold) == pairs
 
 
 class TestCountingProperties:
@@ -192,29 +164,28 @@ class TestCountingProperties:
                 for name in set(combo):
                     coeff //= math.factorial(combo.count(name))
                 expected += coeff
-        assert count_admissible(table, size, threshold, SEQUENCES) == expected
+        assert count_admissible(table, size, threshold) == expected
 
     def test_lowering_threshold_is_monotone(self):
         rng = random.Random(13)
         table = random_table(rng, 5)
         size = 6
         thresholds = sorted(rng.uniform(size * table.min_log10, 0.0) for _ in range(10))
-        for mode in (SEQUENCES, MULTISETS):
-            counts = [count_admissible(table, size, t, mode) for t in thresholds]
-            assert all(a >= b for a, b in zip(counts, counts[1:]))
+        counts = [count_admissible(table, size, t) for t in thresholds]
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("size", [1, 3, 7, 40])
     def test_extreme_thresholds(self, size):
         table = table_from_counts("global", {"a": 5, "b": 3, "c": 2})
         above = size * table.max_log10 + 0.1
         below = size * table.min_log10 - 0.1
-        assert count_admissible(table, size, above, SEQUENCES) == 0
-        assert count_admissible(table, size, below, SEQUENCES) == baseline_size(3, size)
+        assert count_admissible(table, size, above) == 0
+        assert count_admissible(table, size, below) == baseline_size(3, size)
 
     def test_threshold_at_exact_minimum_keeps_everything(self):
         table = table_from_counts("global", {"a": 5, "b": 3, "c": 2})
         at_min = 12 * table.min_log10
-        assert count_admissible(table, 12, at_min, SEQUENCES) == baseline_size(3, 12)
+        assert count_admissible(table, 12, at_min) == baseline_size(3, 12)
 
     def test_corpus_units_are_admissible_at_their_size(self):
         units = tuple(
@@ -224,7 +195,7 @@ class TestCountingProperties:
         table = table_from_counts("global", {"a": 4, "b": 2, "c": 1})
         thr = derive_thresholds(corpus, table, [u.id for u in corpus.units], max_size=5)
         for size, threshold in thr.thresholds.items():
-            assert count_admissible(table, size, threshold, MULTISETS) >= 1
+            assert count_admissible(table, size, threshold) >= 1
 
 
 class TestBaseline:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
-import math
 import random
 from http import HTTPStatus
 from itertools import product
@@ -286,23 +285,13 @@ class TestSynthesize:
 
 
 class TestWideningSchedule:
-    """synthesize's rounds: round r lowers every threshold by r * step_log10."""
+    """synthesize's rounds: round r lowers every threshold by 2r orders of magnitude."""
 
-    def test_step_must_be_negative(self, dsl_scopes):
-        with pytest.raises(ValueError):
-            synthesize(TestCaseSpec(cases=(TestCase((), 3),)), dsl_scopes, 2, step_log10=0.5)
-
-    @pytest.mark.parametrize("step", [0.0, math.nan, -math.inf, math.inf])
-    def test_step_must_be_finite_and_negative(self, dsl_scopes, step):
-        with pytest.raises(ValueError, match="step_log10"):
-            synthesize(TestCaseSpec(cases=(TestCase((), 3),)), dsl_scopes, 2, step_log10=step)
-
-    @pytest.mark.parametrize("step", [-2.0, -0.75])
-    def test_step_sets_the_schedule(self, dsl_scopes, step):
+    def test_step_sets_the_schedule(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((5,), "impossible"),))
-        report = synthesize(spec, dsl_scopes, 3, step_log10=step)
+        report = synthesize(spec, dsl_scopes, 3)
         assert report.rounds > 1
-        assert report.threshold_schedule_used == [r * step for r in range(report.rounds)]
+        assert report.threshold_schedule_used == [r * -2.0 for r in range(report.rounds)]
 
     def test_rounds_widen_monotonically(self, dsl_scopes):
         search = _SubsetSearch(dsl_scopes[0], 6)
@@ -568,7 +557,9 @@ def small_specs(draw):
 
 
 class TestDominanceProperty:
-    @settings(max_examples=60, deadline=None)
+    # Derandomized: unseeded draws made this test's time swing from about
+    # 4 to 37 s between runs.
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_specs(), st.integers(1, 5), st.booleans())
     def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, thresholds):
         _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)

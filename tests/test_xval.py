@@ -28,39 +28,33 @@ def corpus100():
     return generate_zipf_corpus(100, 20, 1.0, "1..8", seed=6)
 
 
-def _reference_validate(corpus, fractions, max_size, seed, repeats=1, probs_from_train=False):
+def _reference_validate(corpus, fractions, max_size, seed):
     """The per-split protocol spelled out: split the corpus, derive the
-    training part's thresholds, and score every test unit under the split's
-    table, an instruction without an entry counting as not covered."""
-    full_table = global_instruction_probs(corpus)
+    training part's thresholds, and score every test unit, all under the
+    full corpus's table."""
+    table = global_instruction_probs(corpus)
     results = []
     for fraction in fractions:
-        for rep in range(repeats):
-            train, test = split_corpus(corpus, fraction, seed + rep)
-            table = global_instruction_probs(train) if probs_from_train else full_table
-            thresholds = derive_thresholds(corpus, table, [u.id for u in train.units], max_size).thresholds
-            hits = dict.fromkeys(thresholds, 0)
-            totals = dict.fromkeys(thresholds, 0)
-            for unit in test.units:
-                if unit.size > max_size or unit.size not in thresholds:
-                    continue
-                totals[unit.size] += 1
-                try:
-                    log_prob = solution_probability(table, unit.instructions)
-                except KeyError:
-                    continue
-                if log_prob >= thresholds[unit.size] - LOG10_SLACK:
-                    hits[unit.size] += 1
-            sizes = sorted(thresholds)
-            results.append(
-                ValidationResult(
-                    training_fraction=fraction,
-                    seed=seed + rep,
-                    per_size_coverage={s: 100.0 * hits[s] / totals[s] if totals[s] else 100.0 for s in sizes},
-                    per_size_test_counts={s: totals[s] for s in sizes},
-                    sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in thresholds),
-                )
+        train, test = split_corpus(corpus, fraction, seed)
+        thresholds = derive_thresholds(corpus, table, [u.id for u in train.units], max_size).thresholds
+        hits = dict.fromkeys(thresholds, 0)
+        totals = dict.fromkeys(thresholds, 0)
+        for unit in test.units:
+            if unit.size > max_size or unit.size not in thresholds:
+                continue
+            totals[unit.size] += 1
+            if solution_probability(table, unit.instructions) >= thresholds[unit.size] - LOG10_SLACK:
+                hits[unit.size] += 1
+        sizes = sorted(thresholds)
+        results.append(
+            ValidationResult(
+                training_fraction=fraction,
+                seed=seed,
+                per_size_coverage={s: 100.0 * hits[s] / totals[s] if totals[s] else 100.0 for s in sizes},
+                per_size_test_counts={s: totals[s] for s in sizes},
+                sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in thresholds),
             )
+        )
     return results
 
 
@@ -70,9 +64,9 @@ def _csv(results):
     return buf.getvalue()
 
 
-def _assert_matches_reference(corpus, fractions, max_size, seed, repeats, probs_from_train):
-    got = validate(corpus, fractions, max_size, seed, repeats=repeats, probs_from_train=probs_from_train)
-    want = _reference_validate(corpus, fractions, max_size, seed, repeats, probs_from_train)
+def _assert_matches_reference(corpus, fractions, max_size, seed):
+    got = validate(corpus, fractions, max_size, seed)
+    want = _reference_validate(corpus, fractions, max_size, seed)
     assert got == want
     # Equal dicts may still differ in order, which the CSV rows follow.
     assert _csv(got) == _csv(want)
@@ -164,11 +158,6 @@ class TestValidate:
         assert not with_thr & without
         assert with_thr | without == set(range(1, 13))
 
-    def test_repeats_report_separately(self, corpus100):
-        results = validate(corpus100, [0.3], max_size=8, seed=1, repeats=3)
-        assert len(results) == 3
-        assert [r.seed for r in results] == [1, 2, 3]
-
     def test_mean_coverage_rises_with_fraction(self, zipf_corpus):
         results = validate(zipf_corpus, [0.001, 0.01, 0.05, 0.25], max_size=40, seed=401)
         means = [r.mean_coverage() for r in results]
@@ -181,33 +170,16 @@ class TestValidate:
         [result] = validate(zipf_corpus, [0.05], max_size=40, seed=401)
         assert result.mean_coverage() >= 90.0
 
-    def test_train_probs_variant_counts_unseen_as_uncovered(self):
-        # "rare" is common corpus-wide but absent from the training side,
-        # so only the strict variant (probabilities from the training part)
-        # loses it
-        units = [ProgramUnit(f"a{i}", ("a", "b")) for i in range(5)]
-        units += [ProgramUnit(f"r{i}", ("rare", "rare")) for i in range(5)]
-        corpus = Corpus(units=tuple(units))
-        seed = next(
-            s
-            for s in range(10_000)
-            if all(u.id.startswith("r") for u in split_corpus(corpus, 0.5, s)[1].units)
-        )
-        [strict] = validate(corpus, [0.5], max_size=4, seed=seed, probs_from_train=True)
-        [lenient] = validate(corpus, [0.5], max_size=4, seed=seed, probs_from_train=False)
-        assert strict.per_size_coverage[2] == 0.0
-        assert lenient.per_size_coverage[2] == 100.0
-
-    @pytest.mark.parametrize("probs_from_train", [False, True], ids=["full-probs", "train-probs"])
     @pytest.mark.parametrize(
         "corpus_name, max_size",
         [("corpus100", 6), ("zipf_corpus", 30)],
         ids=["corpus100", "zipf_corpus"],
     )
-    def test_matches_per_split_reference(self, request, corpus_name, max_size, probs_from_train):
+    def test_matches_per_split_reference(self, request, corpus_name, max_size):
         # max_size is below each corpus's largest unit (8 and 40).
         corpus = request.getfixturevalue(corpus_name)
-        _assert_matches_reference(corpus, [0.01, 0.25], max_size, seed=7, repeats=2, probs_from_train=probs_from_train)
+        for seed in (7, 8):
+            _assert_matches_reference(corpus, [0.01, 0.25], max_size, seed)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -219,14 +191,10 @@ class TestValidate:
         fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
         max_size=st.integers(1, 7),
         seed=st.integers(0, 1000),
-        repeats=st.integers(1, 2),
-        probs_from_train=st.booleans(),
     )
-    def test_matches_reference_on_small_corpora(self, units, fractions, max_size, seed, repeats, probs_from_train):
-        # Small training parts often miss an instruction, so with
-        # probs_from_train some test units have no table entry.
+    def test_matches_reference_on_small_corpora(self, units, fractions, max_size, seed):
         corpus = Corpus(units=tuple(ProgramUnit(f"u{i}", tuple(instrs)) for i, instrs in enumerate(units)))
-        _assert_matches_reference(corpus, fractions, max_size, seed, repeats, probs_from_train)
+        _assert_matches_reference(corpus, fractions, max_size, seed)
 
     def test_csv_export(self, corpus100):
         results = validate(corpus100, [0.25], max_size=8, seed=3)
