@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .corpus import (
-    CorpusFormatError,
+    Corpus,
     SizeSpec,
     generate_zipf_corpus,
     load_corpus,
@@ -111,8 +111,17 @@ def _configure_logging() -> None:
     logging.getLogger("probsynth").handlers[:] = [handler]
 
 
-def _load_family_arg(args) -> SubsetFamily | None:
-    return load_family(args.family) if args.family else None
+def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
+    """The ``--family`` file, if given, after checking that every unit it
+    covers is in the ``--input`` corpus."""
+    if not args.family:
+        return None
+    family = load_family(args.family)
+    for subset in family.subsets:
+        for unit_id in subset.covered_units:
+            if unit_id not in corpus.unit_by_id:
+                raise ValueError(f"family {args.family} covers unit {unit_id!r}, which corpus {args.input} lacks")
+    return family
 
 
 def _resolve_scope(args, family: SubsetFamily | None) -> str:
@@ -157,7 +166,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_probs(args) -> int:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args)
+    family = _load_family_arg(args, corpus)
     scope = _resolve_scope(args, family)
     tables: list[ProbabilityTable] = []
     if scope in ("global", "both"):
@@ -171,7 +180,7 @@ def cmd_probs(args) -> int:
 
 def cmd_thresholds(args) -> int:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args)
+    family = _load_family_arg(args, corpus)
     which = _resolve_scope(args, family)
     scopes = build_scopes(corpus, family, which, args.max_size)
     if not any(scope.unit_ids for scope in scopes):
@@ -203,7 +212,7 @@ def cmd_thresholds(args) -> int:
 
 def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args)
+    family = _load_family_arg(args, corpus)
     sizes = range(args.sizes.lo, args.sizes.hi + 1)
     which = _resolve_scope(args, family)
     scopes = build_scopes(corpus, family, which, args.sizes.hi)
@@ -243,12 +252,6 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", required=True, help="output file path")
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    # Accepted so one set of flags runs the whole pipeline; the work is
-    # CPU-bound Python and runs in one thread.
-    p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probsynth",
@@ -282,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
-    _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_probs)
 
@@ -293,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
     p.add_argument("--ranges", help="also write possible/observed probability ranges CSV here")
     p.add_argument("--pu-probs", help="also write per-unit solution probabilities CSV here")
-    _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_thresholds)
 
@@ -303,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
-    _add_threads(p)
+    # The work is CPU-bound Python and runs in one thread; the option stays
+    # so that callers can check that output bytes do not depend on it.
+    p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
     _add_common_output(p)
     p.set_defaults(func=cmd_measure)
 
@@ -312,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_fractions, required=True, help="comma-separated training fractions in (0,1)")
     p.add_argument("--max-size", type=_positive_int, default=40)
     p.add_argument("--seed", type=int, required=True)
-    _add_threads(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_validate)
 
@@ -336,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --cluster-size: must be <= --alphabet ({args.alphabet}), got {args.cluster_size}")
     try:
         return args.func(args)
-    except (CorpusFormatError, ValueError, KeyError, RuntimeError, OSError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,12 +28,12 @@ class CorpusFormatError(ValueError):
     """A corpus file or record violates the expected external format."""
 
 
-def _check_token(token: object, where: str) -> str:
+def _check_token(token: object, unit_id: str) -> None:
     if not isinstance(token, str) or not token:
-        raise CorpusFormatError(f"{where}: instruction must be a non-empty string, got {token!r}")
-    if any(ch.isspace() for ch in token):
-        raise CorpusFormatError(f"{where}: instruction {token!r} contains whitespace")
-    return token
+        raise CorpusFormatError(f"unit {unit_id!r}: instruction must be a non-empty string, got {token!r}")
+    # Splits on exactly the characters for which str.isspace() is true.
+    if token.split() != [token]:
+        raise CorpusFormatError(f"unit {unit_id!r}: instruction {token!r} contains whitespace")
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ProgramUnit:
         if not self.instructions:
             raise CorpusFormatError(f"program unit {self.id!r} has an empty instruction list")
         for token in self.instructions:
-            _check_token(token, f"unit {self.id!r}")
+            _check_token(token, self.id)
 
     @property
     def size(self) -> int:
@@ -79,19 +79,13 @@ class Corpus:
         return len(self.units)
 
     @cached_property
-    def alphabet(self) -> frozenset[str]:
-        """Union of instruction identifiers over all units."""
-        out: set[str] = set()
-        for unit in self.units:
-            out.update(unit.unique_instructions)
-        return frozenset(out)
-
-    @cached_property
     def unit_by_id(self) -> dict[str, ProgramUnit]:
         return {unit.id: unit for unit in self.units}
 
 
 def _parse_record(line: str, lineno: int) -> ProgramUnit:
+    """One JSON line as a unit. Only the JSON shape is checked here; the id,
+    the instructions and their tokens are checked by ProgramUnit."""
     where = f"line {lineno}"
     try:
         record = json.loads(line)
@@ -100,39 +94,35 @@ def _parse_record(line: str, lineno: int) -> ProgramUnit:
     if not isinstance(record, dict):
         raise CorpusFormatError(f"{where}: expected an object, got {type(record).__name__}")
     unit_id = record.get("id")
-    if not isinstance(unit_id, str) or not unit_id:
+    if not isinstance(unit_id, str):
         raise CorpusFormatError(f"{where}: 'id' must be a non-empty string")
     instructions = record.get("instructions")
     if not isinstance(instructions, list):
         raise CorpusFormatError(f"{where}: 'instructions' must be an array")
-    if not instructions:
-        raise CorpusFormatError(f"{where}: unit {unit_id!r} has an empty instruction list")
     # One string object per instruction name: the decoder makes a new one
     # per occurrence, and a corpus repeats each name thousands of times.
-    tokens = tuple(map(sys.intern, (_check_token(tok, where) for tok in instructions)))
-    return ProgramUnit(id=unit_id, instructions=tokens)
+    try:
+        tokens = tuple(map(sys.intern, instructions))
+    except TypeError:
+        tokens = tuple(instructions)  # ProgramUnit names the non-string token
+    try:
+        return ProgramUnit(id=unit_id, instructions=tokens)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a JSON Lines corpus file.
 
-    Raises CorpusFormatError naming the offending line for malformed
-    records, duplicate unit ids, empty instruction lists, or an empty file.
+    Raises CorpusFormatError for a malformed record or an invalid unit
+    (naming its line), a duplicate unit id (naming the id), or an empty
+    file.
     """
-    units: list[ProgramUnit] = []
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            unit = _parse_record(line, lineno)
-            if unit.id in seen:
-                raise CorpusFormatError(f"line {lineno}: duplicate program unit id {unit.id!r}")
-            seen.add(unit.id)
-            units.append(unit)
+        units = tuple(_parse_record(line, lineno) for lineno, line in enumerate(f, start=1) if line.strip())
     if not units:
         raise CorpusFormatError(f"empty corpus: {path}")
-    return Corpus(units=tuple(units))
+    return Corpus(units=units)
 
 
 def save_corpus(corpus: Corpus, out: IO[str] | str | Path) -> None:

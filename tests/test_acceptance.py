@@ -257,16 +257,14 @@ class TestCriterion8PipelineDeterminism:
             ["gen", "--units", "2000", "--alphabet", "60", "--sizes", "1..16",
              "--seed", "5", "--clusters", "12", "-o", str(corpus)],
             ["cluster", "--cap", "10", "-i", str(corpus), "-o", str(family)],
-            ["probs", "-i", str(corpus), "--family", str(family), "--threads", threads,
-             "-o", str(outputs["probs"])],
+            ["probs", "-i", str(corpus), "--family", str(family), "-o", str(outputs["probs"])],
             ["thresholds", "-i", str(corpus), "--family", str(family), "--max-size", "16",
-             "--threads", threads, "-o", str(outputs["thresholds"])],
+             "-o", str(outputs["thresholds"])],
             ["measure", "-i", str(corpus), "--family", str(family), "--scope", "subsets",
              "--sizes", "4..10", "--cap", "10", "--threads", threads,
              "-o", str(outputs["measure"])],
             ["validate", "-i", str(corpus), "--fractions", "0.01,0.05,0.25",
-             "--max-size", "16", "--seed", "3", "--threads", threads,
-             "-o", str(outputs["validate"])],
+             "--max-size", "16", "--seed", "3", "-o", str(outputs["validate"])],
         ]
         for step in steps:
             assert cli.main(step) == 0, f"step failed: {step[0]}"
@@ -285,7 +283,7 @@ class TestCriterion8PipelineDeterminism:
             8,
             "pipeline determinism",
             same_reruns and same_threads,
-            f"{len(first)} artifacts byte-identical across reruns and threads 1 vs 8",
+            f"{len(first)} artifacts byte-identical across reruns and measure --threads 1 vs 8",
         )
 
     @pytest.fixture(autouse=True)

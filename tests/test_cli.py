@@ -176,6 +176,29 @@ class TestExitCodes:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [["probs"], ["thresholds", "--max-size", "2"], ["measure", "--sizes", "1..2"]],
+        ids=["probs", "thresholds", "measure"],
+    )
+    def test_family_unit_missing_from_corpus_is_runtime_error(self, tmp_path, capsys, args):
+        clustered = write_corpus_lines(
+            tmp_path / "a.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+        )
+        corpus_path = write_corpus_lines(tmp_path / "b.jsonl", ['{"id":"u1","instructions":["a"]}'])
+        family_path = str(tmp_path / "f.jsonl")
+        assert run(["cluster", "-i", clustered, "-o", family_path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        rc = run(args + ["-i", corpus_path, "--family", family_path, "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: family {family_path} covers unit 'u2', which corpus {corpus_path} lacks\n"
+        )
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
     @pytest.fixture()
     def large_units_corpus(self, tmp_path):
         """An abstract corpus whose units all have 5 to 8 instructions."""

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import probsynth.corpus
 from probsynth import (
     Corpus,
     CorpusFormatError,
     ProgramUnit,
+    cli,
     generate_zipf_corpus,
     load_corpus,
     parse_size_spec,
@@ -31,7 +36,7 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         assert len(corpus) == 1
         assert corpus.units[0].size == 3
-        assert corpus.alphabet == {"add", "len"}
+        assert corpus.units[0].unique_instructions == {"add", "len"}
 
     def test_empty_file(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", [])
@@ -59,22 +64,40 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="empty instruction list"):
             load_corpus(path)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            '["not","an","object"]',
-            '{"instructions":["a"]}',
-            '{"id":"u1"}',
-            '{"id":"u1","instructions":"a"}',
-            '{"id":"u1","instructions":["a b"]}',
-            '{"id":"u1","instructions":[""]}',
-            '{"id":"","instructions":["a"]}',
-        ],
-    )
-    def test_bad_records(self, tmp_path, line):
+    BAD_RECORDS = {
+        '["not","an","object"]': "expected an object",
+        '{"instructions":["a"]}': "'id' must be a non-empty string",
+        '{"id":"u1"}': "'instructions' must be an array",
+        '{"id":"u1","instructions":"a"}': "'instructions' must be an array",
+        '{"id":"u1","instructions":["a b"]}': "contains whitespace",
+        '{"id":"u1","instructions":[""]}': "non-empty string",
+        '{"id":"","instructions":["a"]}': "id must be non-empty",
+        '{"id":"u1","instructions":[5]}': "non-empty string",
+        '{"id":"u1","instructions":[null]}': "non-empty string",
+        '{"id":"u1","instructions":[["a"]]}': "non-empty string",
+    }
+
+    @pytest.mark.parametrize("line", list(BAD_RECORDS))
+    def test_bad_records(self, tmp_path, capsys, line):
         path = write_lines(tmp_path / "c.jsonl", [line])
-        with pytest.raises(CorpusFormatError, match="line 1"):
+        diagnostic = f"line 1: .*{re.escape(self.BAD_RECORDS[line])}"
+        with pytest.raises(CorpusFormatError, match=f"^{diagnostic}"):
             load_corpus(path)
+        out = tmp_path / "f.jsonl"
+        assert cli.main(["cluster", "-i", str(path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(f"error: {diagnostic}", err) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_token_check_runs_once_per_token(self, tmp_path, monkeypatch):
+        corpus = generate_zipf_corpus(200, 30, 1.0, "1..10", seed=4)
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        calls = []
+        check = probsynth.corpus._check_token
+        monkeypatch.setattr(probsynth.corpus, "_check_token", lambda *args: calls.append(check(*args)))
+        assert load_corpus(path) == corpus
+        assert len(calls) == sum(unit.size for unit in corpus.units)
 
     def test_round_trip(self, tmp_path):
         units = (
@@ -99,6 +122,23 @@ class TestProgramUnit:
     def test_rejects_whitespace_token(self):
         with pytest.raises(CorpusFormatError):
             ProgramUnit("u", ("a b",))
+
+    SPACES = ["", "\x1c", "\x85", "\xa0", " ", "\u3000"]
+
+    @given(st.lists(st.sampled_from(SPACES) | st.characters() | st.text(max_size=3)).map("".join))
+    @example("\x1c")
+    @example("a\x85")
+    @example("\u3000a")
+    @example("a\xa0b")
+    def test_whitespace_check_matches_isspace(self, token):
+        reference = not token or any(ch.isspace() for ch in token)
+        try:
+            ProgramUnit("u", (token,))
+        except CorpusFormatError:
+            rejected = True
+        else:
+            rejected = False
+        assert rejected == reference
 
 
 class TestSizeSpec:
@@ -138,7 +178,7 @@ class TestGenerateZipf:
             500, 25, 1.2, "2..9", seed=3, clusters=clusters, cluster_size=8
         )
         allowed = {ranked_instruction_id(k, 25) for k in range(1, 26)}
-        assert corpus.alphabet <= allowed
+        assert {i for u in corpus.units for i in u.instructions} <= allowed
         assert all(2 <= u.size <= 9 for u in corpus.units)
 
     def test_rank_frequency_follows_power_law(self, zipf_corpus):
