@@ -45,7 +45,6 @@ from .subsets import (
     InstructionSubset,
     SubsetFamily,
     cluster_subsets,
-    covering_subsets,
     load_family,
     save_family,
 )
@@ -55,66 +54,12 @@ from .synth import (
     SearchReport,
     TestCase,
     TestCaseSpec,
-    cases_from_program,
     evaluate,
     random_program_corpus,
-    satisfies,
     stack_effect,
     synthesize,
     well_formed,
 )
-from .xval import ValidationResult, split_corpus, validate
+from .xval import ValidationResult, validate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "CorpusFormatError",
-    "DSL_ALPHABET",
-    "Fault",
-    "GLOBAL_SCOPE",
-    "InstructionSubset",
-    "LOG10_SLACK",
-    "ProbabilityRange",
-    "ProbabilityTable",
-    "ProgramUnit",
-    "Scope",
-    "SearchReport",
-    "SizeSpec",
-    "SpaceMeasurement",
-    "SubsetFamily",
-    "TestCase",
-    "TestCaseSpec",
-    "ThresholdTable",
-    "ValidationResult",
-    "baseline_size",
-    "brute_force_count",
-    "build_scopes",
-    "cases_from_program",
-    "cluster_subsets",
-    "count_admissible",
-    "covering_subsets",
-    "derive_thresholds",
-    "evaluate",
-    "generate_zipf_corpus",
-    "global_instruction_probs",
-    "load_corpus",
-    "load_family",
-    "measure",
-    "parse_size_spec",
-    "probability_range",
-    "random_program_corpus",
-    "ranked_instruction_id",
-    "satisfies",
-    "save_corpus",
-    "save_family",
-    "solution_probability",
-    "split_corpus",
-    "stack_effect",
-    "subset_instruction_probs",
-    "subset_scope",
-    "synthesize",
-    "table_from_counts",
-    "validate",
-    "well_formed",
-]

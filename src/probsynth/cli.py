@@ -304,8 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
     p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
-    # The work is CPU-bound Python and runs in one thread; the option stays
-    # so that callers can check that output bytes do not depend on it.
+    # The work runs in one thread whatever this says. The option stays only
+    # because the benchmark's traced pass appends --threads <nproc> for its
+    # cli.threads_speedup metric; both go in the same change.
     p.add_argument("--threads", type=_positive_int, default=1, help="accepted and ignored")
     _add_common_output(p)
     p.set_defaults(func=cmd_measure)

@@ -75,9 +75,6 @@ class Corpus:
                 raise CorpusFormatError(f"duplicate program unit id {unit.id!r}")
             seen.add(unit.id)
 
-    def __len__(self) -> int:
-        return len(self.units)
-
     @cached_property
     def unit_by_id(self) -> dict[str, ProgramUnit]:
         return {unit.id: unit for unit in self.units}

@@ -61,9 +61,6 @@ class ProbabilityTable:
     counts: dict[str, int]
     total_count: int
 
-    def __len__(self) -> int:
-        return len(self.log10_probs)
-
     @property
     def min_log10(self) -> float:
         return min(self.log10_probs.values())

@@ -134,9 +134,6 @@ class _Counter:
         k = len(logs)
         worst = logs[-1]
         limit = threshold - LOG10_SLACK
-        if top == 0:
-            keys, suffix = tables[size]
-            return suffix[bisect_left(keys, limit)]
         # Best completion: all slots on instruction 0, the most probable.
         # Worst completion: all slots on the least probable instruction; if
         # even that passes, every candidate is admissible.

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Collection
+from typing import IO
 
 from .corpus import Corpus, CorpusFormatError
 
@@ -34,9 +34,6 @@ class InstructionSubset:
 class SubsetFamily:
     subsets: tuple[InstructionSubset, ...]
     excluded_units: tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.subsets)
 
 
 def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
@@ -79,19 +76,9 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
     return SubsetFamily(subsets=subsets, excluded_units=tuple(excluded))
 
 
-def covering_subsets(unique_instructions: Collection[str], family: SubsetFamily) -> list[InstructionSubset]:
-    """Subsets whose members contain every given instruction (all, if empty)."""
-    wanted = frozenset(unique_instructions)
-    return [s for s in family.subsets if wanted <= s.members]
-
-
-def save_family(family: SubsetFamily, out: IO[str] | str | Path) -> None:
+def save_family(family: SubsetFamily, out: IO[str]) -> None:
     """Write a subset family as JSON Lines: one subset per line with its
     id, sorted members array, and covered unit ids."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as f:
-            save_family(family, f)
-        return
     for subset in family.subsets:
         record = {
             "id": subset.id,
@@ -103,22 +90,29 @@ def save_family(family: SubsetFamily, out: IO[str] | str | Path) -> None:
 
 def load_family(path: str | Path) -> SubsetFamily:
     """Load a subset family written by save_family (which does not record
-    the clustering cap or the excluded units)."""
+    the clustering cap or the excluded units).
+
+    Raises CorpusFormatError, naming the file, for an empty file, a line
+    that is not an object with an integer ``id`` and string arrays
+    ``members`` and ``covered_units``, or an id that repeats.
+    """
     with open(path, "r", encoding="utf-8") as f:
         lines = [line for line in f if line.strip()]
     if not lines:
         raise CorpusFormatError(f"empty subset family file: {path}")
-    subsets = []
+    subsets: dict[int, InstructionSubset] = {}
     try:
         for line in lines:
             record = json.loads(line)
-            subsets.append(
-                InstructionSubset(
-                    id=int(record["id"]),
-                    members=frozenset(record["members"]),
-                    covered_units=tuple(record["covered_units"]),
-                )
-            )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            subset_id, members, covered = record["id"], record["members"], record["covered_units"]
+            if type(subset_id) is not int:
+                raise ValueError(f"subset id must be an integer, got {subset_id!r}")
+            for name, value in (("members", members), ("covered_units", covered)):
+                if type(value) is not list or not all(type(v) is str for v in value):
+                    raise ValueError(f"subset {subset_id}: {name} must be an array of strings")
+            if subset_id in subsets:
+                raise ValueError(f"duplicate subset id {subset_id}")
+            subsets[subset_id] = InstructionSubset(subset_id, frozenset(members), tuple(covered))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"malformed subset family file {path}: {exc}") from None
-    return SubsetFamily(subsets=tuple(subsets))
+    return SubsetFamily(subsets=tuple(subsets.values()))

@@ -45,7 +45,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, ProgramUnit, SizeSpec, parse_size_spec
 from .probability import LOG10_SLACK, Scope
@@ -216,44 +216,23 @@ def _values_equal(result, expected) -> bool:
     return type(result) is type(expected) and result == expected
 
 
-def satisfies(program: Sequence[str], spec: TestCaseSpec) -> bool:
-    """True when the program reproduces every case's expected output."""
-    return all(_values_equal(evaluate(program, case.inputs), case.expected) for case in spec.cases)
-
-
-def cases_from_program(program: Sequence[str], inputs_list: Sequence[Sequence]) -> TestCaseSpec:
-    """Build a spec by running a known program on the given inputs."""
-    cases = []
-    for inputs in inputs_list:
-        result = evaluate(program, inputs)
-        if isinstance(result, Fault):
-            raise ValueError(f"program faults ({result.reason}) on inputs {inputs!r}")
-        cases.append(TestCase(inputs=tuple(inputs), expected=result))
-    return TestCaseSpec(cases=tuple(cases))
-
-
 def load_test_spec(path: str | Path) -> TestCaseSpec:
-    """Read a spec file: {"cases": [{"inputs": [...], "output": ...}, ...]}."""
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    """Read a spec file: {"cases": [{"inputs": [...], "output": ...}, ...]}.
+
+    Raises ValueError naming the file when it is not valid JSON or not a
+    valid spec.
+    """
     try:
-        cases = tuple(
-            TestCase(inputs=tuple(entry["inputs"]), expected=entry["output"])
-            for entry in payload["cases"]
+        with open(path, "r", encoding="utf-8") as f:
+            payload = json.load(f)
+        return TestCaseSpec(
+            cases=tuple(
+                TestCase(inputs=tuple(entry["inputs"]), expected=entry["output"])
+                for entry in payload["cases"]
+            )
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed test-case spec {path}: {exc}") from None
-    return TestCaseSpec(cases=cases)
-
-
-def save_test_spec(spec: TestCaseSpec, out: IO[str] | str | Path) -> None:
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as f:
-            save_test_spec(spec, f)
-        return
-    payload = {"cases": [{"inputs": list(c.inputs), "output": c.expected} for c in spec.cases]}
-    json.dump(payload, out, indent=2)
-    out.write("\n")
 
 
 @dataclass

@@ -32,19 +32,6 @@ def _split_indices(n: int, fraction: float, seed: int) -> set[int]:
     return set(random.Random(seed).sample(range(n), k))
 
 
-def split_corpus(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Split units into (train, test) uniformly at random without replacement.
-
-    Train receives round(fraction * N) units, clamped to 1..N-1 so both
-    sides stay non-empty; unit order within each side follows the corpus.
-    Deterministic per (corpus, fraction, seed).
-    """
-    train_idx = _split_indices(len(corpus.units), fraction, seed)
-    train = tuple(u for i, u in enumerate(corpus.units) if i in train_idx)
-    test = tuple(u for i, u in enumerate(corpus.units) if i not in train_idx)
-    return Corpus(units=train), Corpus(units=test)
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     """Coverage of held-out units per size for one training fraction."""
@@ -54,11 +41,6 @@ class ValidationResult:
     per_size_coverage: dict[int, float]
     per_size_test_counts: dict[int, int]
     sizes_without_threshold: tuple[int, ...]
-
-    def mean_coverage(self) -> float:
-        if not self.per_size_coverage:
-            return 0.0
-        return sum(self.per_size_coverage.values()) / len(self.per_size_coverage)
 
 
 def _split_result(

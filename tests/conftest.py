@@ -1,4 +1,5 @@
-"""Shared corpus fixtures; session-scoped since generation is deterministic.
+"""Shared corpus fixtures, session-scoped since generation is deterministic,
+and the helpers that make and check test-case specs.
 
 Scope fixtures are lists in family order; cluster_subsets numbers subsets
 from 0, so ``scopes[subset.id]`` is that subset's scope.
@@ -6,11 +7,46 @@ from 0, so ``scopes[subset.id]`` is that subset's scope.
 
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
 
-from probsynth import build_scopes, cluster_subsets, generate_zipf_corpus, random_program_corpus
+from probsynth import (
+    Fault,
+    TestCase,
+    TestCaseSpec,
+    build_scopes,
+    cluster_subsets,
+    evaluate,
+    generate_zipf_corpus,
+    random_program_corpus,
+)
+from probsynth.synth import _values_equal
+
+
+def cases_from_program(program, inputs_list) -> TestCaseSpec:
+    """A spec whose expected outputs are a known program's results on the
+    given inputs; raises ValueError if the program faults on any of them."""
+    cases = []
+    for inputs in inputs_list:
+        result = evaluate(program, inputs)
+        if isinstance(result, Fault):
+            raise ValueError(f"program faults ({result.reason}) on inputs {inputs!r}")
+        cases.append(TestCase(inputs=tuple(inputs), expected=result))
+    return TestCaseSpec(cases=tuple(cases))
+
+
+def satisfies(program, spec: TestCaseSpec) -> bool:
+    """True when the program reproduces every case's expected output."""
+    return all(_values_equal(evaluate(program, case.inputs), case.expected) for case in spec.cases)
+
+
+def write_spec(spec: TestCaseSpec, path) -> None:
+    """Write a spec in the format ``synth --spec`` reads."""
+    payload = {"cases": [{"inputs": list(c.inputs), "output": c.expected} for c in spec.cases]}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2)
 
 
 @pytest.fixture(autouse=True)

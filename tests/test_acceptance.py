@@ -23,7 +23,6 @@ from probsynth import (
     baseline_size,
     brute_force_count,
     build_scopes,
-    cases_from_program,
     cli,
     cluster_subsets,
     count_admissible,
@@ -32,7 +31,6 @@ from probsynth import (
     global_instruction_probs,
     measure,
     random_program_corpus,
-    satisfies,
     solution_probability,
     synthesize,
     table_from_counts,
@@ -40,6 +38,7 @@ from probsynth import (
 )
 from fractions import Fraction
 
+from conftest import cases_from_program, satisfies
 from test_synth import uncut_synthesize
 
 
@@ -162,7 +161,7 @@ class TestCriterion6CrossValidationShape:
     def test_monotone_means_and_total_self_coverage(self, zipf_corpus):
         fractions = [0.001, 0.01, 0.05, 0.25]
         results = validate(zipf_corpus, fractions, max_size=40, seed=401)
-        means = [r.mean_coverage() for r in results]
+        means = [statistics.fmean(r.per_size_coverage.values()) for r in results]
         monotone = all(a <= b for a, b in zip(means, means[1:]))
 
         table = global_instruction_probs(zipf_corpus)

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from probsynth import build_scopes, cli, cluster_subsets, load_corpus, load_family, synthesize
-from probsynth.synth import TestCase, TestCaseSpec, load_test_spec, save_test_spec
+from probsynth.synth import TestCase, TestCaseSpec, load_test_spec
+
+from conftest import write_spec
 
 
 def run(args):
@@ -62,7 +64,7 @@ class TestGenCluster:
         out = tmp_path / "dsl.jsonl"
         assert run(["gen", "--units", "50", "--sizes", "1..5", "--seed", "3", "--dsl-programs", "-o", str(out)]) == 0
         corpus = load_corpus(out)
-        assert len(corpus) == 50
+        assert len(corpus.units) == 50
 
 
 class TestMeasureCommand:
@@ -166,7 +168,7 @@ class TestExitCodes:
         corpus_path = write_corpus_lines(
             tmp_path / "c.jsonl", [f'{{"id":"u{i}","instructions":["push1","push2","add"]}}' for i in range(5)]
         )
-        save_test_spec(TestCaseSpec(cases=(TestCase((), 3),)), tmp_path / "spec.json")
+        write_spec(TestCaseSpec(cases=(TestCase((), 3),)), tmp_path / "spec.json")
         capsys.readouterr()
         out = tmp_path / "out.json"
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
@@ -198,6 +200,52 @@ class TestExitCodes:
         )
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": 0, "members": ["b"], "covered_units": ["u2"]}',
+            '{"id": true, "members": ["b"], "covered_units": ["u2"]}',
+            '{"id": 0.7, "members": ["b"], "covered_units": ["u2"]}',
+            '{"id": 1, "members": "ab", "covered_units": ["u2"]}',
+            '{"id": 1, "members": ["b"], "covered_units": "u2"}',
+        ],
+        ids=["duplicate-id", "bool-id", "float-id", "string-members", "string-covered-units"],
+    )
+    def test_malformed_family_is_runtime_error(self, tmp_path, capsys, record):
+        corpus_path = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+        )
+        family_path = tmp_path / "f.jsonl"
+        family_path.write_text('{"id": 0, "members": ["a"], "covered_units": ["u1"]}\n' + record + "\n")
+        out = tmp_path / "out.csv"
+        rc = run(["probs", "-i", corpus_path, "--family", str(family_path), "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed subset family file {family_path}: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"cases": [}', "Expecting value: line 1 column 12 (char 11)"),
+            ('{"cases": [{"inputs": "ab", "output": 1}]}', "case 0: values must be integers or integer lists"),
+        ],
+        ids=["invalid-json", "string-inputs"],
+    )
+    def test_malformed_spec_is_runtime_error(self, tmp_path, capsys, text, reason):
+        corpus_path = tmp_path / "dsl.jsonl"
+        assert run(["gen", "--units", "20", "--sizes", "1..3", "--seed", "1", "--dsl-programs", "-o", str(corpus_path)]) == 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        report_path = tmp_path / "report.json"
+        rc = run(["synth", "--spec", str(spec_path), "-i", str(corpus_path), "-o", str(report_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed test-case spec {spec_path}: {reason}") and err.count("\n") == 1
+        assert not report_path.exists()
 
     @pytest.fixture()
     def large_units_corpus(self, tmp_path):
@@ -250,7 +298,7 @@ class TestExitCodes:
 
     def test_synth_on_non_dsl_corpus_is_runtime_error(self, tmp_path, capsys, large_units_corpus):
         spec_path = tmp_path / "spec.json"
-        save_test_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
+        write_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
         capsys.readouterr()
         report_path = tmp_path / "report.json"
         rc = run(["synth", "--spec", str(spec_path), "-i", large_units_corpus, "-o", str(report_path)])
@@ -367,7 +415,7 @@ class TestSynthCommand:
             "gen", "--units", "250", "--sizes", "1..5", "--seed", "17",
             "--dsl-programs", "-o", str(corpus_path),
         ]) == 0
-        save_test_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
+        write_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
         assert run([
             "synth", "--spec", str(spec_path), "-i", str(corpus_path),
             "--cap", "8", "--max-size", "3", "-o", str(report_path),
@@ -383,7 +431,7 @@ class TestSynthCommand:
         spec_path = tmp_path / "spec.json"
         report_path = tmp_path / "report.json"
         run(["gen", "--units", "250", "--sizes", "1..5", "--seed", "17", "--dsl-programs", "-o", str(corpus_path)])
-        save_test_spec(TestCaseSpec(cases=(TestCase((), 2),)), spec_path)
+        write_spec(TestCaseSpec(cases=(TestCase((), 2),)), spec_path)
         assert run([
             "synth", "--spec", str(spec_path), "-i", str(corpus_path),
             "--cap", "8", "--max-size", "3", "--no-prune", "-o", str(report_path),

@@ -34,7 +34,7 @@ class TestLoadCorpus:
     def test_single_unit(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["add","add","len"]}'])
         corpus = load_corpus(path)
-        assert len(corpus) == 1
+        assert len(corpus.units) == 1
         assert corpus.units[0].size == 3
         assert corpus.units[0].unique_instructions == {"add", "len"}
 

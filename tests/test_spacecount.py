@@ -127,7 +127,7 @@ class TestSplitPoints:
         table, size, threshold = case
         expected = brute_force_count(table, size, threshold)
         assert count_admissible(table, size, threshold) == expected
-        k = len(table)
+        k = len(table.log10_probs)
         for top in range(k + 1):
             with _sharing(_Counter(table, size, bottom=k - top)):
                 assert count_admissible(table, size, threshold) == expected, top
@@ -139,7 +139,7 @@ class TestSplitPoints:
         counts.update({f"g{i}": 2_000 for i in range(1_100)})
         counts.update({f"s{i}": 2 for i in range(1_898)})
         table = table_from_counts("global", counts)
-        assert len(table) == 3_000
+        assert len(table.log10_probs) == 3_000
         threshold = table.max_log10 + table.min_log10
         limit = threshold - LOG10_SLACK
         multiplicity = Counter(table.log10_probs.values())

@@ -1,14 +1,16 @@
-"""Greedy subset clustering and coverage queries."""
+"""Greedy subset clustering and the subset family file."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from probsynth import (
     Corpus,
+    CorpusFormatError,
     ProgramUnit,
     cluster_subsets,
-    covering_subsets,
     load_family,
     save_family,
 )
@@ -22,7 +24,7 @@ class TestClusterSubsets:
     def test_union_fits_single_subset(self):
         corpus = corpus_of(("u1", "ab"), ("u2", "bc"), ("u3", "abc"))
         family = cluster_subsets(corpus, cap=3)
-        assert len(family) == 1
+        assert len(family.subsets) == 1
         assert family.subsets[0].members == {"a", "b", "c"}
         assert set(family.subsets[0].covered_units) == {"u1", "u2", "u3"}
 
@@ -35,7 +37,7 @@ class TestClusterSubsets:
         corpus = corpus_of(("u1", "abcde"), ("u2", "ab"))
         family = cluster_subsets(corpus, cap=3)
         assert family.excluded_units == ("u1",)
-        assert len(family) == 1
+        assert len(family.subsets) == 1
 
     def test_deterministic(self, clustered_corpus):
         a = cluster_subsets(clustered_corpus, cap=10)
@@ -59,7 +61,7 @@ class TestFamilyInvariants:
 
     def test_family_smaller_than_corpus(self, family_and_corpus):
         corpus, family = family_and_corpus
-        assert 0 < len(family) < len(corpus)
+        assert 0 < len(family.subsets) < len(corpus.units)
 
     def test_every_kept_unit_covered(self, family_and_corpus):
         corpus, family = family_and_corpus
@@ -68,7 +70,7 @@ class TestFamilyInvariants:
         assert covered == kept
         for unit in corpus.units:
             if unit.id in kept:
-                assert covering_subsets(unit.unique_instructions, family)
+                assert any(unit.unique_instructions <= s.members for s in family.subsets)
 
     def test_cap_respected(self, family_and_corpus):
         _, family = family_and_corpus
@@ -87,27 +89,37 @@ class TestFamilyInvariants:
         assert all(s.members and s.covered_units for s in family.subsets)
 
 
-class TestCoveringSubsets:
-    @pytest.fixture()
-    def family(self):
-        corpus = corpus_of(("u1", "ab"), ("u2", "cd"))
-        return cluster_subsets(corpus, cap=2)
-
-    def test_superset_match(self, family):
-        found = covering_subsets({"a"}, family)
-        assert [sorted(s.members) for s in found] == [["a", "b"]]
-
-    def test_no_superset(self, family):
-        assert covering_subsets({"a", "c"}, family) == []
-
-    def test_empty_query_matches_all(self, family):
-        assert len(covering_subsets(set(), family)) == len(family)
-
-
 class TestFamilyRoundTrip:
     def test_save_load(self, tmp_path):
         corpus = corpus_of(("u1", "ab"), ("u2", "bc"), ("u3", "de"))
         family = cluster_subsets(corpus, cap=3)
         path = tmp_path / "family.jsonl"
-        save_family(family, path)
+        with open(path, "w", encoding="utf-8") as f:
+            save_family(family, f)
         assert load_family(path).subsets == family.subsets
+
+    @pytest.mark.parametrize(
+        "lines, reason",
+        [
+            (['{"id": 0, "members": ["a"], "covered_units": ["u1"]}'] * 2, "duplicate subset id 0"),
+            (['{"id": true, "members": ["a"], "covered_units": ["u1"]}'], "subset id must be an integer"),
+            (['{"id": 2.7, "members": ["a"], "covered_units": ["u1"]}'], "subset id must be an integer"),
+            (['{"id": "0", "members": ["a"], "covered_units": ["u1"]}'], "subset id must be an integer"),
+            (['{"id": 0, "members": "ab", "covered_units": ["u1"]}'], "members must be an array of strings"),
+            (['{"id": 0, "members": ["a", 1], "covered_units": ["u1"]}'], "members must be an array of strings"),
+            (['{"id": 0, "members": ["a"], "covered_units": "u1"}'], "covered_units must be an array of strings"),
+            (['{"id": 0, "members": ["a"]}'], "'covered_units'"),
+            (["[0]"], ""),
+            (["{"], ""),
+        ],
+        ids=[
+            "duplicate-id", "bool-id", "float-id", "string-id", "string-members", "non-string-member",
+            "string-covered-units", "missing-key", "not-an-object", "invalid-json",
+        ],
+    )
+    def test_malformed_record_names_file(self, tmp_path, lines, reason):
+        path = tmp_path / "family.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        prefix = re.escape(f"malformed subset family file {path}: ")
+        with pytest.raises(CorpusFormatError, match=f"^{prefix}.*{re.escape(reason)}"):
+            load_family(path)

@@ -20,18 +20,18 @@ from probsynth import (
     TestCase,
     TestCaseSpec,
     build_scopes,
-    cases_from_program,
     cluster_subsets,
     evaluate,
     random_program_corpus,
-    satisfies,
     solution_probability,
     stack_effect,
     synthesize,
     well_formed,
 )
 from probsynth.probability import LOG10_SLACK
-from probsynth.synth import _step, _SubsetSearch, _values_equal, load_test_spec, save_test_spec
+from probsynth.synth import _step, _SubsetSearch, _values_equal, load_test_spec
+
+from conftest import cases_from_program, satisfies, write_spec
 
 
 class TestEvaluate:
@@ -186,7 +186,7 @@ class TestTestCaseSpec:
     def test_round_trip(self, tmp_path):
         spec = TestCaseSpec(cases=(TestCase((5, [1, 2]), [2, 3]), TestCase((6, [0, 0]), [1, 1])))
         path = tmp_path / "spec.json"
-        save_test_spec(spec, path)
+        write_spec(spec, path)
         loaded = load_test_spec(path)
         assert loaded.cases[0].inputs == (5, [1, 2])
         assert loaded.cases[0].expected == [2, 3]
