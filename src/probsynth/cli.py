@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -113,7 +114,8 @@ def _configure_logging() -> None:
 
 def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
     """The ``--family`` file, if given, after checking that every unit it
-    covers is in the ``--input`` corpus."""
+    covers is in the ``--input`` corpus and that each subset's members are
+    the instructions of its covered units."""
     if not args.family:
         return None
     family = load_family(args.family)
@@ -121,6 +123,9 @@ def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
         for unit_id in subset.covered_units:
             if unit_id not in corpus.unit_by_id:
                 raise ValueError(f"family {args.family} covers unit {unit_id!r}, which corpus {args.input} lacks")
+        used = frozenset().union(*(corpus.unit_by_id[u].instructions for u in subset.covered_units))
+        if used != subset.members:
+            raise ValueError(f"family {args.family}: subset {subset.id}'s members are not its units' instructions")
     return family
 
 
@@ -243,7 +248,7 @@ def cmd_synth(args) -> int:
         scopes = [scope.without_thresholds() for scope in scopes]
     report = synthesize(spec, scopes, args.max_size)
     with _atomic_output(args.output) as f:
-        json.dump(report.to_json(), f, indent=2)
+        json.dump(dataclasses.asdict(report), f, indent=2)
         f.write("\n")
     return 0
 

@@ -18,18 +18,22 @@ with the suffix sums of their weights ``r!/prod(m!)``. How many bottom
 completions clear a bound, weighted, is then one binary search.
 
 The top side is a depth-first branch and bound over multisets, walked with
-an explicit stack so that no alphabet size meets the recursion limit. At a
-partial assignment two exact bounds apply: if even the best completion (all
-remaining slots on the most probable remaining instruction) falls below the
-threshold the branch is cut, and if even the worst completion passes, the
-whole subtree is added in closed form. A partial that reaches the bottom
-with ``r`` slots left is answered by the table for ``r``, and its weight
-``S!/(prod m_top! * r!)`` times the table's weights gives the multinomial.
-The bounds and the lookups skip enumeration but keep its admissibility
-test, so the result equals full enumeration. (A lookup tests
-``bottom >= limit - top`` where enumeration sums ``top + bottom``; the two
-roundings can part only for a candidate within a few ulps of the limit,
-far inside the slack.)
+an explicit stack so that no alphabet size meets the recursion limit. A
+popped partial runs one loop over its children, taking m copies of its
+instruction for m falling from the slots left, and the loop stops at the
+first child whose best completion (all remaining slots on the most probable
+remaining instruction) falls below the threshold. A child that passes is
+answered by the first of four rules that applies: at the bottom, with ``r``
+slots left, by the table for ``r``, its weight ``S!/(prod m_top! * r!)``
+times the table's weights giving the multinomial; if even its worst
+completion passes, by the closed form ``n ** r`` over the ``n`` remaining
+instructions; with one slot left, by one binary search over the remaining
+instructions' logs, which is the table for ``r = 1`` over them; otherwise it
+is pushed. The bounds, lookups and searches skip enumeration but keep its
+admissibility test, so the result equals full enumeration. (A lookup or a
+search tests ``rest >= limit - partial`` where enumeration sums
+``partial + rest``; the two roundings can part only for a candidate within
+a few ulps of the limit.)
 
 The split is worked out from the input: ``b`` is the largest bottom, at
 most ``k - 1``, whose tables (``C(max_size + b, b)`` entries over all
@@ -45,7 +49,7 @@ import csv
 import logging
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -119,6 +123,9 @@ class _Counter:
         self.table = table
         self.max_size = max_size
         self.logs = sorted(table.log10_probs.values(), reverse=True)
+        # Ascending, so that the partners of a one-slot partial (the j with
+        # logs[j] >= limit - logp) are a prefix of its range for bisect.
+        self.neg = [-log for log in self.logs]
         k = len(self.logs)
         if bottom is None:
             bottom = _bottom_size(k, max_size)
@@ -130,7 +137,7 @@ class _Counter:
 
     def count(self, size: int, threshold: float) -> int:
         """Admissible candidates of exactly ``size`` instructions."""
-        logs, top, tables = self.logs, self.top, self.tables
+        logs, neg, top, tables = self.logs, self.neg, self.top, self.tables
         k = len(logs)
         worst = logs[-1]
         limit = threshold - LOG10_SLACK
@@ -151,29 +158,23 @@ class _Counter:
             i, remaining, logp, coeff = pop()
             log = logs[i]
             nxt = i + 1
-            # Children in order of falling m, and so of falling best and
-            # worst completion: once one is cut, so is every later one.
-            if nxt == top:
-                bound = logs[top]
-                for m in range(remaining, -1, -1):
-                    child_logp = logp + m * log
-                    r = remaining - m
-                    if child_logp + r * bound < limit:
-                        break
-                    keys, suffix = tables[r]
-                    found = suffix[bisect_left(keys, limit - child_logp)]
-                    total += coeff * binomials[remaining][m] * found
-                continue
             bound = logs[nxt]
             n = k - nxt
+            # Children in order of falling m, and so of falling best and
+            # worst completion: once one is cut, so is every later one.
             for m in range(remaining, -1, -1):
                 child_logp = logp + m * log
                 r = remaining - m
                 if child_logp + r * bound < limit:
                     break
                 c = coeff * binomials[remaining][m]
-                if child_logp + r * worst >= limit:
+                if nxt == top:
+                    keys, suffix = tables[r]
+                    total += c * suffix[bisect_left(keys, limit - child_logp)]
+                elif child_logp + r * worst >= limit:
                     total += c * n**r
+                elif r == 1:
+                    total += c * (bisect_right(neg, child_logp - limit, nxt, k) - nxt)
                 else:
                     push((nxt, r, child_logp, c))
         return total

@@ -94,7 +94,8 @@ def load_family(path: str | Path) -> SubsetFamily:
 
     Raises CorpusFormatError, naming the file, for an empty file, a line
     that is not an object with an integer ``id`` and string arrays
-    ``members`` and ``covered_units``, or an id that repeats.
+    ``members`` and ``covered_units``, an empty ``covered_units``, or an id
+    that repeats.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [line for line in f if line.strip()]
@@ -110,6 +111,8 @@ def load_family(path: str | Path) -> SubsetFamily:
             for name, value in (("members", members), ("covered_units", covered)):
                 if type(value) is not list or not all(type(v) is str for v in value):
                     raise ValueError(f"subset {subset_id}: {name} must be an array of strings")
+            if not covered:
+                raise ValueError(f"subset {subset_id}: covered_units must be non-empty")
             if subset_id in subsets:
                 raise ValueError(f"duplicate subset id {subset_id}")
             subsets[subset_id] = InstructionSubset(subset_id, frozenset(members), tuple(covered))

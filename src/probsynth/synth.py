@@ -247,17 +247,6 @@ class SearchReport:
     rounds: int
     solved_subset_id: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "solution": list(self.solution) if self.solution is not None else None,
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_pruned_by_threshold": self.nodes_pruned_by_threshold,
-            "nodes_deduped": self.nodes_deduped,
-            "threshold_schedule_used": self.threshold_schedule_used,
-            "rounds": self.rounds,
-            "solved_subset_id": self.solved_subset_id,
-        }
-
 
 class _SubsetSearch:
     """Per-scope search state: the step table in extension order, threshold bases."""

@@ -228,6 +228,31 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize(
+        "args",
+        [["probs"], ["thresholds", "--max-size", "2"], ["measure", "--sizes", "1..2"]],
+        ids=["probs", "thresholds", "measure"],
+    )
+    @pytest.mark.parametrize("members", [["zzz"], ["a"], ["a", "b", "c"]], ids=["foreign", "missing", "extra"])
+    def test_family_members_not_its_units_instructions_is_runtime_error(self, tmp_path, capsys, args, members):
+        corpus_path = write_corpus_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b"]}'],
+        )
+        family_path = tmp_path / "f.jsonl"
+        family_path.write_text(
+            '{"id": 0, "members": ["a"], "covered_units": ["u1"]}\n'
+            + json.dumps({"id": 1, "members": members, "covered_units": ["u2"]}) + "\n"
+        )
+        out = tmp_path / "out.csv"
+        rc = run(args + ["-i", corpus_path, "--family", str(family_path), "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: family {family_path}: subset 1's members are not its units' instructions\n"
+        )
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
         "text, reason",
         [
             ('{"cases": [}', "Expecting value: line 1 column 12 (char 11)"),

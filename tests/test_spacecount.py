@@ -149,6 +149,48 @@ class TestSplitPoints:
         assert pairs == 2 * 3_000 - 1 + 1_100**2
         assert count_admissible(table, 2, threshold) == pairs
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[1, 2, 4, 8, 16, 32], [1, 2, 3, 4, 6, 8, 12], [3, 5, 15, 9, 25, 45]],
+        ids=["powers-of-two", "smooth", "products-of-3-and-5"],
+    )
+    def test_ties_at_every_split(self, counts):
+        # Counts whose products coincide give many multisets of one
+        # probability, so thresholds land on ties at every split.
+        table = table_from_counts("global", {f"x{i}": c for i, c in enumerate(counts)})
+        names = list(table.log10_probs)
+        k = len(names)
+        for size in [s for s in range(1, 5) if k**s <= 3000]:
+            counters = [_Counter(table, size, bottom=b) for b in range(k + 1)]
+            for multiset in combinations_with_replacement(names, size):
+                logp = solution_probability(table, multiset)
+                for threshold in (logp, logp - LOG10_SLACK):
+                    expected = brute_force_count(table, size, threshold)
+                    got = [counter.count(size, threshold) for counter in counters]
+                    assert got == [expected] * (k + 1), (size, multiset, threshold)
+
+    def test_large_alphabet_against_multiset_enumeration(self):
+        # 103 instructions, as many as the README corpus's global table: the
+        # default split and no bottom at all both answer one-slot partials
+        # by bisection.
+        table = table_from_counts("global", {f"x{i}": 10_000 // (i + 1) for i in range(103)})
+        logs = list(table.log10_probs.values())
+        size = 3
+        weighted = []
+        for combo in combinations_with_replacement(range(len(logs)), size):
+            weight = math.factorial(size)
+            for m in Counter(combo).values():
+                weight //= math.factorial(m)
+            weighted.append((sum(logs[i] for i in combo), weight))
+        probabilities = sorted(logp for logp, _ in weighted)
+        counters = [_Counter(table, size), _Counter(table, size, bottom=0)]
+        assert counters[0].top < len(logs)
+        for q in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99):
+            threshold = probabilities[int(q * len(probabilities))]
+            limit = threshold - LOG10_SLACK
+            expected = sum(weight for logp, weight in weighted if logp >= limit)
+            assert [counter.count(size, threshold) for counter in counters] == [expected] * 2, q
+
 
 class TestCountingProperties:
     def test_sequences_are_multinomial_weighted_multisets(self):

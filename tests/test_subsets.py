@@ -108,13 +108,14 @@ class TestFamilyRoundTrip:
             (['{"id": 0, "members": "ab", "covered_units": ["u1"]}'], "members must be an array of strings"),
             (['{"id": 0, "members": ["a", 1], "covered_units": ["u1"]}'], "members must be an array of strings"),
             (['{"id": 0, "members": ["a"], "covered_units": "u1"}'], "covered_units must be an array of strings"),
+            (['{"id": 0, "members": ["a"], "covered_units": []}'], "subset 0: covered_units must be non-empty"),
             (['{"id": 0, "members": ["a"]}'], "'covered_units'"),
             (["[0]"], ""),
             (["{"], ""),
         ],
         ids=[
             "duplicate-id", "bool-id", "float-id", "string-id", "string-members", "non-string-member",
-            "string-covered-units", "missing-key", "not-an-object", "invalid-json",
+            "string-covered-units", "empty-covered-units", "missing-key", "not-an-object", "invalid-json",
         ],
     )
     def test_malformed_record_names_file(self, tmp_path, lines, reason):
