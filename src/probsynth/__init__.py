@@ -21,14 +21,12 @@ from .corpus import (
 from .probability import (
     GLOBAL_SCOPE,
     LOG10_SLACK,
-    ProbabilityRange,
     ProbabilityTable,
     Scope,
     ThresholdTable,
     build_scopes,
     derive_thresholds,
     global_instruction_probs,
-    probability_range,
     solution_probability,
     subset_instruction_probs,
     subset_scope,

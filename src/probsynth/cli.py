@@ -15,11 +15,12 @@ import json
 import logging
 import math
 import os
+import statistics
 import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .corpus import (
     Corpus,
@@ -31,18 +32,16 @@ from .corpus import (
 )
 from .probability import (
     ProbabilityTable,
+    Scope,
     build_scopes,
+    fmt12,
     global_instruction_probs,
-    probability_range,
     subset_instruction_probs,
-    write_ranges_csv,
-    write_tables_csv,
-    write_thresholds_csv,
 )
-from .spacecount import fmt12, measure, write_measurements_csv
+from .spacecount import measure
 from .subsets import SubsetFamily, cluster_subsets, load_family, save_family
 from .synth import load_test_spec, random_program_corpus, synthesize
-from .xval import validate, write_validation_csv
+from .xval import validate
 
 
 @contextmanager
@@ -65,6 +64,16 @@ def _atomic_output(path: str):
         except OSError:
             pass
         raise
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write one CSV artifact atomically: the header, then the rows, with
+    ``\n`` line ends. Rows carry floats already rendered by ``fmt12``;
+    ints are written exactly and None as an empty cell."""
+    with _atomic_output(path) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _ranged(convert: Callable, ok: Callable, bound: str) -> Callable[[str], float]:
@@ -178,9 +187,29 @@ def cmd_probs(args) -> int:
         tables.append(global_instruction_probs(corpus))
     if scope in ("subsets", "both"):
         tables.extend(subset_instruction_probs(corpus, subset) for subset in family.subsets)
-    with _atomic_output(args.output) as f:
-        write_tables_csv(tables, f)
+    rows = (
+        (table.scope, instruction, table.counts[instruction], fmt12(log_prob))
+        for table in tables
+        for instruction, log_prob in table.log10_probs.items()
+    )
+    _write_csv(args.output, ["scope", "instruction", "count", "log10_probability"], rows)
     return 0
+
+
+def _range_rows(scope: Scope, corpus: Corpus, max_size: int) -> Iterable[tuple]:
+    """The scope's ``--ranges`` rows, one per size 1..max_size: the lowest
+    and highest log10 solution probability its table allows (its least and
+    most probable instruction times the size), then the min, median and
+    max over its units of that size (empty cells when it has none) and
+    their number."""
+    observed: dict[int, list[float]] = {}
+    for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
+        observed.setdefault(corpus.unit_by_id[unit_id].size, []).append(log_prob)
+    table = scope.table
+    for size in range(1, max_size + 1):
+        logs = observed.get(size, [])
+        summary = [fmt12(min(logs)), fmt12(statistics.median(logs)), fmt12(max(logs))] if logs else [None] * 3
+        yield (table.scope, size, fmt12(size * table.min_log10), fmt12(size * table.max_log10), *summary, len(logs))
 
 
 def cmd_thresholds(args) -> int:
@@ -190,28 +219,24 @@ def cmd_thresholds(args) -> int:
     scopes = build_scopes(corpus, family, which, args.max_size)
     if not any(scope.unit_ids for scope in scopes):
         raise ValueError(f"no unit in scope {which} has at most {args.max_size} instructions")
-    with _atomic_output(args.output) as f:
-        write_thresholds_csv([scope.thresholds for scope in scopes], f)
-
+    rows = (
+        (scope.table.scope, size, scope.thresholds.support_counts[size], fmt12(threshold))
+        for scope in scopes
+        for size, threshold in scope.thresholds.thresholds.items()
+    )
+    _write_csv(args.output, ["scope", "size", "count", "log10_probability"], rows)
     if args.ranges:
-        rows = []
-        for scope in scopes:
-            observed_by_size: dict[int, list[float]] = {}
-            for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
-                observed_by_size.setdefault(corpus.unit_by_id[unit_id].size, []).append(log_prob)
-            for size in range(1, args.max_size + 1):
-                rows.append((scope.table.scope, probability_range(scope.table, size, observed_by_size.get(size))))
-        with _atomic_output(args.ranges) as f:
-            write_ranges_csv(rows, f)
-
+        header = ["scope", "size", "min_possible_log10", "max_possible_log10"]
+        header += ["observed_min_log10", "observed_median_log10", "observed_max_log10", "n_observed"]
+        rows = (row for scope in scopes for row in _range_rows(scope, corpus, args.max_size))
+        _write_csv(args.ranges, header, rows)
     if args.pu_probs:
-        with _atomic_output(args.pu_probs) as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["scope", "pu_id", "size", "log10_probability"])
-            for scope in scopes:
-                for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
-                    size = corpus.unit_by_id[unit_id].size
-                    writer.writerow([scope.table.scope, unit_id, str(size), fmt12(log_prob)])
+        rows = (
+            (scope.table.scope, unit_id, corpus.unit_by_id[unit_id].size, fmt12(log_prob))
+            for scope in scopes
+            for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs)
+        )
+        _write_csv(args.pu_probs, ["scope", "pu_id", "size", "log10_probability"], rows)
     return 0
 
 
@@ -224,8 +249,14 @@ def cmd_measure(args) -> int:
     if not any(size in scope.thresholds for scope in scopes for size in sizes):
         raise ValueError(f"no unit in scope {which} has a size in {args.sizes.lo}..{args.sizes.hi}")
     measured = [m for scope in scopes for m in measure(scope.table, scope.thresholds, sizes, args.cap)]
-    with _atomic_output(args.output) as f:
-        write_measurements_csv(measured, f)
+    # The mode column always reads "sequences" (counts are of sequences
+    # only); the artifact digests in bench/digests.json include it.
+    header = ["scope", "size", "mode", "threshold_log10", "admissible_count", "baseline_count", "reduction_oom"]
+    rows = (
+        (m.scope, m.size, "sequences", fmt12(m.threshold), m.admissible_count, m.baseline_count, fmt12(m.reduction_oom))
+        for m in measured
+    )
+    _write_csv(args.output, header, rows)
     return 0
 
 
@@ -234,8 +265,12 @@ def cmd_validate(args) -> int:
     results = validate(corpus, args.fractions, args.max_size, args.seed)
     if not any(result.per_size_coverage for result in results):
         raise ValueError(f"no training part has a unit of at most {args.max_size} instructions")
-    with _atomic_output(args.output) as f:
-        write_validation_csv(results, f)
+    rows = (
+        (fmt12(result.training_fraction), size, fmt12(coverage), result.per_size_test_counts[size])
+        for result in results
+        for size, coverage in result.per_size_coverage.items()
+    )
+    _write_csv(args.output, ["fraction", "size", "coverage_pct", "n_test_pus"], rows)
     return 0
 
 

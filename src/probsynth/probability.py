@@ -21,13 +21,11 @@ space its own probability defined.
 
 from __future__ import annotations
 
-import csv
 import math
-import statistics
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus
 from .subsets import InstructionSubset, SubsetFamily
@@ -59,7 +57,6 @@ class ProbabilityTable:
     scope: str
     log10_probs: dict[str, float]
     counts: dict[str, int]
-    total_count: int
 
     @property
     def min_log10(self) -> float:
@@ -88,7 +85,6 @@ def table_from_counts(scope: str, counts: Mapping[str, int]) -> ProbabilityTable
         scope=scope,
         log10_probs={instr: math.log10(c) - log_total for instr, c in ordered},
         counts=dict(ordered),
-        total_count=total,
     )
 
 
@@ -217,87 +213,3 @@ def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_si
         Scope(subset_id, table, *_unit_log_probs(corpus, table, unit_ids, max_size))
         for subset_id, table, unit_ids in sources
     ]
-
-
-@dataclass(frozen=True)
-class ProbabilityRange:
-    """Possible and observed solution-probability extent at one size."""
-
-    size: int
-    min_possible: float
-    max_possible: float
-    observed_min: float | None = None
-    observed_median: float | None = None
-    observed_max: float | None = None
-    n_observed: int = 0
-
-
-def probability_range(
-    table: ProbabilityTable, size: int, observed: Sequence[float] | None = None
-) -> ProbabilityRange:
-    """Lowest/highest achievable log10 solution probability at a size.
-
-    The extremes are the scope's lowest and highest instruction log-probs
-    times the size; ``observed`` log10 solution probabilities, when given,
-    are summarised as min/median/max.
-    """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if not table.log10_probs:
-        raise ValueError("probability table is empty")
-    lo = size * table.min_log10
-    hi = size * table.max_log10
-    if observed:
-        return ProbabilityRange(
-            size=size,
-            min_possible=lo,
-            max_possible=hi,
-            observed_min=min(observed),
-            observed_median=statistics.median(observed),
-            observed_max=max(observed),
-            n_observed=len(observed),
-        )
-    return ProbabilityRange(size=size, min_possible=lo, max_possible=hi)
-
-
-def write_tables_csv(tables: Iterable[ProbabilityTable], out: IO[str]) -> None:
-    """CSV export of probability tables: scope, instruction, count, log10 prob."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scope", "instruction", "count", "log10_probability"])
-    for table in tables:
-        for instruction, lp in table.log10_probs.items():
-            writer.writerow([table.scope, instruction, str(table.counts[instruction]), fmt12(lp)])
-
-
-def write_thresholds_csv(tables: Iterable[ThresholdTable], out: IO[str]) -> None:
-    """CSV export of threshold tables: scope, size, support count, log10 threshold."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scope", "size", "count", "log10_probability"])
-    for table in tables:
-        for size, threshold in table.thresholds.items():
-            writer.writerow([table.scope, str(size), str(table.support_counts[size]), fmt12(threshold)])
-
-
-def write_ranges_csv(ranges: Iterable[tuple[str, ProbabilityRange]], out: IO[str]) -> None:
-    """CSV export of (scope, range) rows summarising possible vs observed."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "scope",
-            "size",
-            "min_possible_log10",
-            "max_possible_log10",
-            "observed_min_log10",
-            "observed_median_log10",
-            "observed_max_log10",
-            "n_observed",
-        ]
-    )
-    for scope, r in ranges:
-        observed = [
-            "" if v is None else fmt12(v)
-            for v in (r.observed_min, r.observed_median, r.observed_max)
-        ]
-        writer.writerow(
-            [scope, str(r.size), fmt12(r.min_possible), fmt12(r.max_possible), *observed, str(r.n_observed)]
-        )

@@ -45,7 +45,6 @@ shares them.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from array import array
@@ -54,14 +53,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import IO, Iterable
+from typing import Iterable
 
-from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable, fmt12
+from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable
 
 logger = logging.getLogger(__name__)
-
-# The measurement CSV's mode column: counts are always of sequences.
-SEQUENCES = "sequences"
 
 # brute_force_count refuses anything bigger than this
 _BRUTE_FORCE_MAX_ALPHABET = 8
@@ -279,23 +275,3 @@ def measure(
                 )
             )
     return out
-
-
-def write_measurements_csv(measurements: Iterable[SpaceMeasurement], out: IO[str]) -> None:
-    """CSV export; counts render as exact decimal strings regardless of size."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["scope", "size", "mode", "threshold_log10", "admissible_count", "baseline_count", "reduction_oom"]
-    )
-    for m in measurements:
-        writer.writerow(
-            [
-                m.scope,
-                str(m.size),
-                SEQUENCES,
-                fmt12(m.threshold),
-                str(m.admissible_count),
-                str(m.baseline_count),
-                fmt12(m.reduction_oom),
-            ]
-        )

@@ -11,14 +11,13 @@ probability is computed once per call and shared by every split.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 from .corpus import Corpus
-from .probability import GLOBAL_SCOPE, LOG10_SLACK, build_scopes, fmt12
+from .probability import GLOBAL_SCOPE, LOG10_SLACK, build_scopes
 
 
 def _split_indices(n: int, fraction: float, seed: int) -> set[int]:
@@ -37,14 +36,12 @@ class ValidationResult:
     """Coverage of held-out units per size for one training fraction."""
 
     training_fraction: float
-    seed: int
     per_size_coverage: dict[int, float]
     per_size_test_counts: dict[int, int]
-    sizes_without_threshold: tuple[int, ...]
 
 
 def _split_result(
-    fraction: float, seed: int, sizes: Sequence[int], log_probs: Sequence[float | None], train: set[int], max_size: int
+    fraction: float, sizes: Sequence[int], log_probs: Sequence[float | None], train: set[int]
 ) -> ValidationResult:
     """Thresholds from the training positions, coverage of the others.
     ``log_probs`` holds None for units above ``max_size``."""
@@ -64,10 +61,8 @@ def _split_result(
     ordered = sorted(minima)
     return ValidationResult(
         training_fraction=fraction,
-        seed=seed,
         per_size_coverage={s: (100.0 * hits[s] / totals[s]) if totals[s] else 100.0 for s in ordered},
         per_size_test_counts={s: totals[s] for s in ordered},
-        sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in minima),
     )
 
 
@@ -79,9 +74,8 @@ def validate(
 ) -> list[ValidationResult]:
     """Run the threshold cross-validation sweep over training fractions.
 
-    One split per fraction, each drawn with ``seed``. Sizes 1..max_size
-    that the training part never exhibits are listed in
-    ``sizes_without_threshold``.
+    One split per fraction, each drawn with ``seed``. A size that the
+    training part never exhibits has no entry in ``per_size_coverage``.
     """
     units = corpus.units
     sizes = [unit.size for unit in units]
@@ -89,22 +83,6 @@ def validate(
     by_id = dict(zip(scope.unit_ids, scope.unit_log10_probs))
     log_probs = [by_id.get(unit.id) for unit in units]
     return [
-        _split_result(fraction, seed, sizes, log_probs, _split_indices(len(units), fraction, seed), max_size)
+        _split_result(fraction, sizes, log_probs, _split_indices(len(units), fraction, seed))
         for fraction in fractions
     ]
-
-
-def write_validation_csv(results: Iterable[ValidationResult], out: IO[str]) -> None:
-    """CSV export of the sweep: fraction, size, coverage percentage, test count."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["fraction", "size", "coverage_pct", "n_test_pus"])
-    for result in results:
-        for size, coverage in result.per_size_coverage.items():
-            writer.writerow(
-                [
-                    fmt12(result.training_fraction),
-                    str(size),
-                    fmt12(coverage),
-                    str(result.per_size_test_counts[size]),
-                ]
-            )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from fractions import Fraction
@@ -12,14 +13,16 @@ from probsynth import (
     Corpus,
     ProgramUnit,
     build_scopes,
+    cli,
     cluster_subsets,
     derive_thresholds,
     global_instruction_probs,
-    probability_range,
+    save_corpus,
     solution_probability,
     subset_instruction_probs,
     table_from_counts,
 )
+from probsynth.probability import fmt12
 
 
 def corpus_of(*units):
@@ -31,7 +34,7 @@ class TestGlobalProbs:
         table = global_instruction_probs(corpus_of(("u1", ["a", "a", "b"])))
         assert 10 ** table.log10_probs["a"] == pytest.approx(2 / 3, rel=1e-12)
         assert 10 ** table.log10_probs["b"] == pytest.approx(1 / 3, rel=1e-12)
-        assert table.total_count == 3
+        assert sum(table.counts.values()) == 3
 
     def test_single_symbol(self):
         table = global_instruction_probs(corpus_of(("u1", ["a"]), ("u2", ["a"])))
@@ -197,28 +200,43 @@ class TestBuildScopes:
 
 
 class TestProbabilityRange:
-    def test_two_instruction_table(self):
-        table = table_from_counts("global", {"a": 9, "b": 1})
-        r = probability_range(table, 2)
-        assert r.min_possible == pytest.approx(math.log10(0.01), rel=1e-12)
-        assert r.max_possible == pytest.approx(math.log10(0.81), rel=1e-12)
+    """The ``thresholds --ranges`` rows of the global scope."""
 
-    def test_size_one_equals_entries(self):
-        table = table_from_counts("global", {"a": 3, "b": 1})
-        r = probability_range(table, 1)
-        assert r.min_possible == table.min_log10
-        assert r.max_possible == table.max_log10
+    @staticmethod
+    def _ranges(tmp_path, *units, max_size):
+        """Run ``thresholds --scope global --ranges`` on a corpus of the given
+        units; return the global table and the ranges rows by size."""
+        corpus = corpus_of(*units)
+        corpus_path, ranges = tmp_path / "c.jsonl", tmp_path / "ranges.csv"
+        save_corpus(corpus, corpus_path)
+        assert cli.main([
+            "thresholds", "-i", str(corpus_path), "--scope", "global", "--max-size", str(max_size),
+            "--ranges", str(ranges), "-o", str(tmp_path / "thr.csv"),
+        ]) == 0
+        rows = {int(row["size"]): row for row in csv.DictReader(ranges.read_text().splitlines())}
+        assert sorted(rows) == list(range(1, max_size + 1))
+        return global_instruction_probs(corpus), rows
 
-    def test_observed_summary_within_possible(self, clustered_corpus, clustered_family, clustered_scopes):
-        subset = clustered_family.subsets[0]
-        table = clustered_scopes[subset.id].table
-        observed = [
-            solution_probability(table, clustered_corpus.unit_by_id[uid].instructions)
-            for uid in subset.covered_units
-            if clustered_corpus.unit_by_id[uid].size == 20
+    def test_two_instruction_table(self, tmp_path):
+        table, rows = self._ranges(tmp_path, ("u1", ["a"] * 9 + ["b"]), max_size=10)
+        assert table.counts == {"a": 9, "b": 1}
+        assert float(rows[2]["min_possible_log10"]) == pytest.approx(math.log10(0.01), rel=1e-12)
+        assert float(rows[2]["max_possible_log10"]) == pytest.approx(math.log10(0.81), rel=1e-12)
+
+    def test_size_one_equals_entries(self, tmp_path):
+        table, rows = self._ranges(tmp_path, ("u1", ["a", "a", "a", "b"]), max_size=4)
+        assert rows[1]["min_possible_log10"] == fmt12(table.min_log10)
+        assert rows[1]["max_possible_log10"] == fmt12(table.max_log10)
+
+    def test_observed_summary_within_possible(self, tmp_path):
+        units = [("u1", ["a", "a", "a"]), ("u2", ["a", "a", "b"]), ("u3", ["a", "b", "c"]), ("u4", ["a"])]
+        table, rows = self._ranges(tmp_path, *units, max_size=4)
+        low, mid, high = (solution_probability(table, instrs) for _, instrs in units[2::-1])
+        row = rows[3]
+        assert [row["observed_min_log10"], row["observed_median_log10"], row["observed_max_log10"]] == [
+            fmt12(low), fmt12(mid), fmt12(high)
         ]
-        if not observed:
-            pytest.skip("no covered units of size 20 in this subset")
-        r = probability_range(table, 20, observed)
-        assert r.min_possible <= r.observed_min <= r.observed_median <= r.observed_max <= r.max_possible
-        assert r.n_observed == len(observed)
+        assert row["n_observed"] == "3"
+        assert float(row["min_possible_log10"]) <= low <= mid <= high <= float(row["max_possible_log10"])
+        for size in (2, 4):
+            assert [rows[size][key] for key in list(row)[4:]] == ["", "", "", "0"]

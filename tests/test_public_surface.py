@@ -1,4 +1,5 @@
-"""Every public function, class and method has a caller outside the tests.
+"""Every public function, class and method has a caller outside the tests,
+and every CSV artifact goes through one writer.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
@@ -72,3 +73,37 @@ def test_sources_define_public_names():
 def test_every_public_name_has_a_caller():
     unused = _unused()
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def _calls(name: str) -> list[tuple[str, str]]:
+    """Each call under `src/probsynth` of a function called ``name``, plain
+    or as an attribute, as (file, enclosing function)."""
+    found = []
+
+    def walk(node: ast.AST, path: Path, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append((path.name, function))
+            walk(child, path, function)
+
+    for path in SOURCES:
+        walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, "")
+    return found
+
+
+def test_one_csv_writer():
+    importers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "csv" in [alias.name for alias in node.names] + [getattr(node, "module", None)]
+    ]
+    assert importers == ["cli.py"]
+    assert _calls("writer") == [("cli.py", "_write_csv")]
+    assert {path for path, _ in _calls("fmt12")} == {"cli.py"}

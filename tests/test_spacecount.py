@@ -18,12 +18,15 @@ from probsynth import (
     ThresholdTable,
     baseline_size,
     brute_force_count,
+    cli,
     count_admissible,
     derive_thresholds,
     measure,
+    save_corpus,
     solution_probability,
     table_from_counts,
 )
+from probsynth.probability import fmt12
 from probsynth.spacecount import _Counter, _sharing
 
 UNIFORM2 = table_from_counts("global", {"a": 1, "b": 1})
@@ -289,17 +292,19 @@ class TestMeasure:
         assert m.admissible_count == 0
         assert m.reduction_oom == math.inf
 
-    def test_csv_renders_counts_exactly_and_inf_distinctly(self):
-        import io
-
-        from probsynth.spacecount import write_measurements_csv
-
-        table = table_from_counts("global", {f"x{i}": 1 for i in range(10)})
-        low = ThresholdTable(scope="global", thresholds={40: -100.0}, support_counts={40: 1})
+    def test_csv_renders_counts_exactly_and_inf_distinctly(self, tmp_path):
+        # Ten equally likely instructions: every size-40 candidate is as
+        # probable as the corpus unit, so all 10**40 are admissible.
+        corpus_path, out = tmp_path / "c.jsonl", tmp_path / "m.csv"
+        save_corpus(Corpus(units=(ProgramUnit("u1", tuple(f"x{i}" for i in range(10)) * 4),)), corpus_path)
+        assert cli.main([
+            "measure", "-i", str(corpus_path), "--scope", "global", "--sizes", "40", "--cap", "10", "-o", str(out),
+        ]) == 0
+        [_, row] = out.read_text().splitlines()
+        assert row.split(",")[4:6] == [str(10**40), str(10**40)]
+        # A fully pruned space cannot come from corpus thresholds: render one
+        # through the writer every artifact uses.
         impossible = ThresholdTable(scope="global", thresholds={2: 0.5}, support_counts={2: 1})
-        rows = measure(table, low, [40], is_cap=10) + measure(table, impossible, [2], is_cap=10)
-        buf = io.StringIO()
-        write_measurements_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
-        assert str(10**40) in lines[1]
-        assert lines[2].endswith("inf")
+        [m] = measure(table_from_counts("global", {f"x{i}": 1 for i in range(10)}), impossible, [2], is_cap=10)
+        cli._write_csv(str(out), ["admissible_count", "reduction_oom"], [(m.admissible_count, fmt12(m.reduction_oom))])
+        assert out.read_text() == "admissible_count,reduction_oom\n0,inf\n"

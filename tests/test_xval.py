@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import io
 import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,18 @@ from probsynth import (
     Corpus,
     ProgramUnit,
     ValidationResult,
+    cli,
     derive_thresholds,
     generate_zipf_corpus,
     global_instruction_probs,
+    save_corpus,
     solution_probability,
     validate,
 )
-from probsynth.xval import _split_indices, write_validation_csv
+from probsynth.probability import fmt12
+from probsynth.xval import _split_indices
+
+HEADER = "fraction,size,coverage_pct,n_test_pus\n"
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +68,23 @@ def _reference_validate(corpus, fractions, max_size, seed):
         results.append(
             ValidationResult(
                 training_fraction=fraction,
-                seed=seed,
                 per_size_coverage={s: 100.0 * hits[s] / totals[s] if totals[s] else 100.0 for s in sizes},
                 per_size_test_counts={s: totals[s] for s in sizes},
-                sizes_without_threshold=tuple(s for s in range(1, max_size + 1) if s not in thresholds),
             )
         )
     return results
 
 
-def _csv(results):
-    buf = io.StringIO()
-    write_validation_csv(results, buf)
-    return buf.getvalue()
+def _csv(corpus, fractions, max_size, seed):
+    """The text ``validate`` writes for the corpus, or None when it exits 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, out = Path(tmp, "c.jsonl"), Path(tmp, "v.csv")
+        save_corpus(corpus, corpus_path)
+        argv = [
+            "validate", "-i", str(corpus_path), "--fractions", ",".join(map(repr, fractions)),
+            "--max-size", str(max_size), "--seed", str(seed), "-o", str(out),
+        ]
+        return out.read_text(encoding="utf-8") if cli.main(argv) == 0 else None
 
 
 def _assert_matches_reference(corpus, fractions, max_size, seed):
@@ -82,7 +92,12 @@ def _assert_matches_reference(corpus, fractions, max_size, seed):
     want = _reference_validate(corpus, fractions, max_size, seed)
     assert got == want
     # Equal dicts may still differ in order, which the CSV rows follow.
-    assert _csv(got) == _csv(want)
+    rows = [
+        f"{fmt12(r.training_fraction)},{size},{fmt12(coverage)},{r.per_size_test_counts[size]}\n"
+        for r in want
+        for size, coverage in r.per_size_coverage.items()
+    ]
+    assert _csv(corpus, fractions, max_size, seed) == (HEADER + "".join(rows) if rows else None)
 
 
 class TestSplitCorpus:
@@ -131,7 +146,7 @@ class TestCoverage:
             expected = 100.0 if log_prob >= thr.thresholds[size] - 1e-9 else 0.0
             assert result.per_size_coverage[size] == expected
         else:
-            assert size in result.sizes_without_threshold
+            assert size not in result.per_size_coverage
 
     def test_raising_threshold_never_raises_coverage(self, corpus100):
         table = global_instruction_probs(corpus100)
@@ -157,10 +172,10 @@ class TestValidate:
 
     def test_sizes_partition(self, corpus100):
         [result] = validate(corpus100, [0.1], max_size=12, seed=5)
-        with_thr = set(result.per_size_coverage)
-        without = set(result.sizes_without_threshold)
-        assert not with_thr & without
-        assert with_thr | without == set(range(1, 13))
+        train, _ = _split(corpus100, 0.1, seed=5)
+        # Sizes 1..12 split into those the training part has, which carry a
+        # coverage, and the rest, which carry none.
+        assert set(result.per_size_coverage) == {u.size for u in train if u.size <= 12}
 
     def test_mean_coverage_rises_with_fraction(self, zipf_corpus):
         results = validate(zipf_corpus, [0.001, 0.01, 0.05, 0.25], max_size=40, seed=401)
@@ -201,9 +216,7 @@ class TestValidate:
         _assert_matches_reference(corpus, fractions, max_size, seed)
 
     def test_csv_export(self, corpus100):
-        results = validate(corpus100, [0.25], max_size=8, seed=3)
-        buf = io.StringIO()
-        write_validation_csv(results, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "fraction,size,coverage_pct,n_test_pus"
-        assert len(lines) == 1 + len(results[0].per_size_coverage)
+        [result] = validate(corpus100, [0.25], max_size=8, seed=3)
+        text = _csv(corpus100, [0.25], 8, 3)
+        assert text.startswith(HEADER)
+        assert len(text.splitlines()) == 1 + len(result.per_size_coverage)
