@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import IO
 
 logger = logging.getLogger(__name__)
+# Names that passed _check_token, which depends on the name alone: checked once per process.
+_VALID_NAMES: set[str] = set()
 
 
 class CorpusFormatError(ValueError):
@@ -49,7 +51,9 @@ class ProgramUnit:
         if not self.instructions:
             raise CorpusFormatError(f"program unit {self.id!r} has an empty instruction list")
         for token in self.instructions:
-            _check_token(token, self.id)
+            if type(token) is not str or token not in _VALID_NAMES:  # a list is unhashable
+                _check_token(token, self.id)
+                _VALID_NAMES.add(token)
 
     @property
     def size(self) -> int:

@@ -17,7 +17,9 @@ threshold level fails, all thresholds are widened by a fixed log10 step
 (``WIDENING_STEP_LOG10``, two orders of magnitude) and the sweep repeats,
 down to the minimum possible probability per size (its floor). A size
 with no threshold sits at its floor from the start, so scopes without
-thresholds search the whole subset space in one round.
+thresholds search the whole subset space in one round. A round tests only
+the candidates its thresholds newly admit: those the round before admitted
+are known to fail, as it found no solution.
 
 Children are generated in descending log-probability, and adding a fixed
 log-probability to each keeps that order (float addition is monotone), so
@@ -237,7 +239,8 @@ def load_test_spec(path: str | Path) -> TestCaseSpec:
 
 @dataclass
 class SearchReport:
-    """Outcome and node accounting for one synthesis run."""
+    """Outcome and node accounting for one synthesis run. The node counters
+    count each round's whole tree, candidates an earlier round tested included."""
 
     solution: tuple[str, ...] | None
     nodes_expanded: int
@@ -264,6 +267,8 @@ class _SubsetSearch:
         self.bases = [0.0] + [
             scope.thresholds.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)
         ]
+        # The active thresholds of the last round searched here, which failed.
+        self.tested = [float("inf")] * (max_size + 1)
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
         """Per-size active thresholds, suffix minima, and an all-at-floor flag."""
@@ -284,7 +289,9 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     ``WIDENING_STEP_LOG10`` more, down to its floor (the minimum possible
     solution probability at that size); a round with every threshold at
     its floor is the last, and an exhausted schedule yields an empty
-    report. Scopes without thresholds (``Scope.without_thresholds``) start
+    report. A round follows one that found no solution, so it tests only the
+    candidates its thresholds newly admit, but counts its whole tree.
+    Scopes without thresholds (``Scope.without_thresholds``) start
     at their floors, so one round tests every program over each scope's
     instructions: the baseline for measuring what the thresholds save.
 
@@ -322,6 +329,7 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
             if solution is not None:
                 solved_subset = search.subset_id
                 break
+            search.tested = active
         if all_floored:
             break
 
@@ -352,6 +360,10 @@ def _dfs_subset(
     admit = [a - LOG10_SLACK for a in active]
     cut = [t - LOG10_SLACK for t in tail_min]
     leaf_bound = admit[max_size]
+    # Per length: the test bound of the last round here. The cut and the
+    # dominance rule are exact, so every candidate it admitted failed.
+    known = [t - LOG10_SLACK for t in search.tested]
+    leaf_known = known[max_size]
 
     # Per length: repr(states) -> best log-probability of a prefix that
     # left them. Kept up to max_size - 2, where a skipped subtree still
@@ -361,14 +373,17 @@ def _dfs_subset(
 
     def leaf(prefix: list[str], logp: float, states: list) -> tuple[str, ...] | None:
         # Children at max_size are never extended: test each admissible
-        # one case by case, stopping at the first case it fails, and keep
-        # no states. Steps run in descending log-probability, so the first
-        # child below the bound ends the level.
+        # one not tested in an earlier round case by case, stopping at the
+        # first case it fails, and keep no states. Steps run in descending
+        # log-probability, so the first child below the bound ends the level.
         for i, (instruction, step_logp, arity, fn) in enumerate(steps):
-            if logp + step_logp < leaf_bound:
+            child_logp = logp + step_logp
+            if child_logp < leaf_bound:
                 counters["expanded"] += i
                 counters["pruned"] += width - i
                 return None
+            if child_logp >= leaf_known:
+                continue
             for state, exp in zip(states, expected):
                 if state is None or len(state) < arity:
                     break
@@ -422,7 +437,7 @@ def _dfs_subset(
                         alive = True
                         continue
                 child_states.append(None)
-            if child_logp >= admit[length]:
+            if known[length] > child_logp >= admit[length]:
                 solved = all(
                     state is not None and state and _values_equal(state[-1], exp)
                     for state, exp in zip(child_states, expected)

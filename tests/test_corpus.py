@@ -89,15 +89,39 @@ class TestLoadCorpus:
         assert re.match(f"error: {diagnostic}", err) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_token_check_runs_once_per_token(self, tmp_path, monkeypatch):
+    def test_token_check_runs_once_per_name(self, tmp_path, monkeypatch):
         corpus = generate_zipf_corpus(200, 30, 1.0, "1..10", seed=4)
         path = tmp_path / "c.jsonl"
         save_corpus(corpus, path)
         calls = []
         check = probsynth.corpus._check_token
         monkeypatch.setattr(probsynth.corpus, "_check_token", lambda *args: calls.append(check(*args)))
+        monkeypatch.setattr(probsynth.corpus, "_VALID_NAMES", set())
+        names = {name for unit in corpus.units for name in unit.instructions}
         assert load_corpus(path) == corpus
-        assert len(calls) == sum(unit.size for unit in corpus.units)
+        assert len(calls) == len(names)
+        assert load_corpus(path) == corpus
+        assert len(calls) == len(names)
+
+    def test_bad_token_after_thousands_of_good_ones(self, tmp_path):
+        corpus = generate_zipf_corpus(2_000, 30, 1.0, "1..10", seed=4)
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"id":"bad","instructions":["i01","i02","a b"]}\n')
+        diagnostic = "line 2001: unit 'bad': instruction 'a b' contains whitespace"
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(diagnostic)}$"):
+            load_corpus(path)
+
+    def test_bad_name_rejected_on_every_load(self, tmp_path):
+        path = write_lines(
+            tmp_path / "c.jsonl",
+            ['{"id":"u1","instructions":["a"]}', '{"id":"u2","instructions":["a","b c"]}'],
+        )
+        diagnostic = "line 2: unit 'u2': instruction 'b c' contains whitespace"
+        for _ in range(2):
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(diagnostic)}$"):
+                load_corpus(path)
 
     def test_round_trip(self, tmp_path):
         units = (

@@ -453,6 +453,7 @@ def _scopes(scopes, thresholds):
 
 
 PROBES = ((0,), (2,), (3,), (5,), (7,))  # criterion 7's probe inputs
+PAIRS = ((4, 9), (-3, 5), (7, 2), (6, -8))  # two-input probes
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +487,19 @@ def planted_fixture():
     return scopes, [prog for size in (3, 4, 5) for prog in planted[size]]
 
 
+def _unsatisfiable_spec(seed):
+    """Integer inputs and a list output: no instruction builds a list from
+    integers, so the whole widening schedule runs: several rounds with
+    thresholds, one at the floors without."""
+    rng = random.Random(seed)
+    return TestCaseSpec(
+        cases=tuple(
+            TestCase((x,), [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))])
+            for x in rng.sample(range(-50, 51), 4)
+        )
+    )
+
+
 class TestDominanceOracle:
     @pytest.mark.parametrize("thresholds", [True, False])
     def test_planted_specs_match_plain_search(self, planted_fixture, thresholds):
@@ -503,20 +517,53 @@ class TestDominanceOracle:
     @pytest.mark.parametrize("thresholds", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, thresholds, seed):
-        # Integer inputs and a list output: no instruction builds a list
-        # from integers, so the whole widening schedule runs: several
-        # rounds with thresholds, one at the floors without.
         scopes = _scopes(planted_fixture[0], thresholds)
-        rng = random.Random(seed)
-        spec = TestCaseSpec(
-            cases=tuple(
-                TestCase((x,), [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))])
-                for x in rng.sample(range(-50, 51), 4)
-            )
-        )
-        report = _check_against_oracles(spec, scopes, 4)
+        report = _check_against_oracles(_unsatisfiable_spec(seed), scopes, 4)
         assert report.solution is None and (report.rounds > 1) == thresholds
         assert report.nodes_deduped > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_widening_tests_each_candidate_once(self, planted_fixture, seed, monkeypatch):
+        # A round tests only the candidates its thresholds newly admit, so
+        # the whole schedule compares as many outputs as one sweep at the
+        # floors, though it walks each round's tree.
+        calls = 0
+
+        def counting(result, expected):
+            nonlocal calls
+            calls += 1
+            return _values_equal(result, expected)
+
+        monkeypatch.setattr("probsynth.synth._values_equal", counting)
+        spec = _unsatisfiable_spec(seed)
+        counts = []
+        for thresholds, rounds in ((True, 4), (False, 1)):
+            calls = 0
+            report = synthesize(spec, _scopes(planted_fixture[0], thresholds), 4)
+            assert report.solution is None and report.rounds == rounds
+            counts.append(calls)
+        assert counts[0] == counts[1] > 0
+
+    # Programs below their size's threshold in the subset that solves them,
+    # so only a later widening round admits them: at an interior length and
+    # at max_size, with and without dominance hits.
+    @pytest.mark.parametrize(
+        "program,inputs,max_size,deduped",
+        [
+            (("mul", "neg"), PAIRS, 3, False),
+            (("dup", "mul", "mul"), PAIRS, 4, True),
+            (("dup", "mul", "inc"), PROBES, 3, False),
+            (("dup", "push3", "mul", "mul"), PROBES, 4, True),
+        ],
+        ids=["interior", "interior-deduped", "leaf", "leaf-deduped"],
+    )
+    def test_later_round_solutions_match_reference(self, planted_fixture, program, inputs, max_size, deduped):
+        spec = cases_from_program(program, inputs)
+        report = _check_against_oracles(spec, planted_fixture[0], max_size)
+        assert report.rounds >= 2
+        assert report.solution is not None and satisfies(report.solution, spec)
+        assert len(report.solution) == len(program)
+        assert (report.nodes_deduped > 0) == deduped
 
     @pytest.mark.parametrize("thresholds", [True, False])
     def test_list_input_spec_matches_plain_search(self, thresholds):
