@@ -23,7 +23,6 @@ from .probability import (
     LOG10_SLACK,
     ProbabilityTable,
     Scope,
-    ThresholdTable,
     build_scopes,
     derive_thresholds,
     global_instruction_probs,

@@ -138,15 +138,6 @@ def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
     return family
 
 
-def _resolve_scope(args, family: SubsetFamily | None) -> str:
-    scope = args.scope
-    if scope == "auto":
-        scope = "both" if family is not None else "global"
-    if scope in ("subsets", "both") and family is None:
-        raise ValueError(f"--scope {scope} requires --family")
-    return scope
-
-
 def cmd_gen(args) -> int:
     if args.dsl_programs:
         corpus = random_program_corpus(
@@ -181,11 +172,10 @@ def cmd_cluster(args) -> int:
 def cmd_probs(args) -> int:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args, corpus)
-    scope = _resolve_scope(args, family)
     tables: list[ProbabilityTable] = []
-    if scope in ("global", "both"):
+    if args.scope in ("global", "both"):
         tables.append(global_instruction_probs(corpus))
-    if scope in ("subsets", "both"):
+    if args.scope in ("subsets", "both"):
         tables.extend(subset_instruction_probs(corpus, subset) for subset in family.subsets)
     rows = (
         (table.scope, instruction, table.counts[instruction], fmt12(log_prob))
@@ -214,15 +204,13 @@ def _range_rows(scope: Scope, corpus: Corpus, max_size: int) -> Iterable[tuple]:
 
 def cmd_thresholds(args) -> int:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args, corpus)
-    which = _resolve_scope(args, family)
-    scopes = build_scopes(corpus, family, which, args.max_size)
+    scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.max_size)
     if not any(scope.unit_ids for scope in scopes):
-        raise ValueError(f"no unit in scope {which} has at most {args.max_size} instructions")
+        raise ValueError(f"no unit in scope {args.scope} has at most {args.max_size} instructions")
     rows = (
-        (scope.table.scope, size, scope.thresholds.support_counts[size], fmt12(threshold))
+        (scope.table.scope, size, scope.support_counts[size], fmt12(threshold))
         for scope in scopes
-        for size, threshold in scope.thresholds.thresholds.items()
+        for size, threshold in scope.thresholds.items()
     )
     _write_csv(args.output, ["scope", "size", "count", "log10_probability"], rows)
     if args.ranges:
@@ -242,13 +230,11 @@ def cmd_thresholds(args) -> int:
 
 def cmd_measure(args) -> int:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args, corpus)
     sizes = range(args.sizes.lo, args.sizes.hi + 1)
-    which = _resolve_scope(args, family)
-    scopes = build_scopes(corpus, family, which, args.sizes.hi)
+    scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.sizes.hi)
     if not any(size in scope.thresholds for scope in scopes for size in sizes):
-        raise ValueError(f"no unit in scope {which} has a size in {args.sizes.lo}..{args.sizes.hi}")
-    measured = [m for scope in scopes for m in measure(scope.table, scope.thresholds, sizes, args.cap)]
+        raise ValueError(f"no unit in scope {args.scope} has a size in {args.sizes.lo}..{args.sizes.hi}")
+    measured = [m for scope in scopes for m in measure(scope, sizes, args.cap)]
     # The mode column always reads "sequences" (counts are of sequences
     # only); the artifact digests in bench/digests.json include it.
     header = ["scope", "size", "mode", "threshold_log10", "admissible_count", "baseline_count", "reduction_oom"]
@@ -377,6 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.cluster_size > args.alphabet:
         parser.error(f"argument --cluster-size: must be <= --alphabet ({args.alphabet}), got {args.cluster_size}")
+    scope = getattr(args, "scope", None)
+    if scope == "auto":
+        args.scope = "both" if args.family else "global"
+    elif scope in ("subsets", "both") and not args.family:
+        parser.error(f"argument --scope: {scope} requires --family")
     try:
         return args.func(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:

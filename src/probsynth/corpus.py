@@ -12,7 +12,6 @@ instruction pools so that co-occurrence clustering has structure to find.
 from __future__ import annotations
 
 import json
-import logging
 import random
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO
 
-logger = logging.getLogger(__name__)
 # Names that passed _check_token, which depends on the name alone: checked once per process.
 _VALID_NAMES: set[str] = set()
 

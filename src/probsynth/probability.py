@@ -7,11 +7,12 @@ included. Everything is stored and combined in the log10 domain, since
 solution probabilities at size 40 fall far below the linear float range.
 
 A scope is the whole corpus or one instruction subset. ``build_scopes``
-is the one way to make them: each ``Scope`` holds its table, its units,
-their log10 solution probabilities (each computed once) and the per-size
-thresholds, the minima of those probabilities. A scope with an empty
-threshold table puts every size at its floor, the lowest probability the
-table allows, so nothing is cut.
+is the one way to make them: each ``Scope`` is one record of its table,
+its units, their log10 solution probabilities (each computed once) and
+its per-size thresholds, the minima of those probabilities. A threshold
+is only meaningful under its own scope's table, so the two travel
+together. A scope with no thresholds puts every size at its floor, the
+lowest probability the table allows, so nothing is cut.
 
 Threshold comparison convention used throughout the package: a candidate
 is admissible when its log10 solution probability is >= threshold minus
@@ -120,22 +121,34 @@ def solution_probability(table: ProbabilityTable, instructions: Iterable[str]) -
 
 
 @dataclass(frozen=True)
-class ThresholdTable:
-    """Per-size minimum observed log10 solution probability for one scope."""
+class Scope:
+    """One probability scope: the whole corpus (``subset_id`` None) or one
+    instruction subset.
 
-    scope: str
+    ``unit_ids`` are the scope's units of at most the builder's max size,
+    in scope order, and ``unit_log10_probs`` their solution probabilities
+    under ``table``, position for position. ``thresholds`` maps each size
+    those units have to the least of their probabilities at that size, and
+    ``support_counts`` to how many units that minimum ranged over.
+    """
+
+    subset_id: int | None
+    table: ProbabilityTable
+    unit_ids: tuple[str, ...]
+    unit_log10_probs: array
     thresholds: dict[int, float]
     support_counts: dict[int, int]
 
-    def __contains__(self, size: int) -> bool:
-        return size in self.thresholds
+    def without_thresholds(self) -> Scope:
+        """The same scope with no thresholds: every size at its floor."""
+        return replace(self, thresholds={}, support_counts={})
 
 
-def _unit_log_probs(
-    corpus: Corpus, table: ProbabilityTable, scope_units: Iterable[str], max_size: int
-) -> tuple[tuple[str, ...], array, ThresholdTable]:
-    """The scope units of at most ``max_size`` instructions, their log10
-    solution probabilities, and the per-size minima of those."""
+def _scope(
+    corpus: Corpus, subset_id: int | None, table: ProbabilityTable, scope_units: Iterable[str], max_size: int
+) -> Scope:
+    """The scope over those of ``scope_units`` with at most ``max_size``
+    instructions, their log10 solution probabilities and per-size minima."""
     unit_ids = []
     log_probs = array("d")
     minima: dict[int, float] = {}
@@ -152,12 +165,14 @@ def _unit_log_probs(
             minima[size] = log_prob
         support[size] = support.get(size, 0) + 1
     ordered = sorted(minima)
-    thresholds = ThresholdTable(
-        scope=table.scope,
+    return Scope(
+        subset_id,
+        table,
+        tuple(unit_ids),
+        log_probs,
         thresholds={s: minima[s] for s in ordered},
         support_counts={s: support[s] for s in ordered},
     )
-    return tuple(unit_ids), log_probs, thresholds
 
 
 def derive_thresholds(
@@ -165,37 +180,17 @@ def derive_thresholds(
     table: ProbabilityTable,
     scope_units: Sequence[str],
     max_size: int,
-) -> ThresholdTable:
-    """Minimum solution probability per size over the scope's units.
+) -> Scope:
+    """The scope of ``table`` over the given units, with its minimum
+    solution probability per size.
 
-    A size gets a threshold only if at least one scope unit has that size;
-    units larger than ``max_size`` are filtered out, not errors. The
-    support count records how many units the minimum ranged over.
+    ``subset_id`` is None: the caller gives a table, not a subset. A size
+    gets a threshold only if at least one scope unit has that size; units
+    larger than ``max_size`` are filtered out, not errors.
     """
     if not scope_units:
         raise ValueError("scope_units must be non-empty")
-    return _unit_log_probs(corpus, table, scope_units, max_size)[2]
-
-
-@dataclass(frozen=True)
-class Scope:
-    """One probability scope: the whole corpus (``subset_id`` None) or one
-    instruction subset.
-
-    ``unit_ids`` are the scope's units of at most the builder's max size,
-    in scope order, and ``unit_log10_probs`` their solution probabilities
-    under ``table``, position for position.
-    """
-
-    subset_id: int | None
-    table: ProbabilityTable
-    unit_ids: tuple[str, ...]
-    unit_log10_probs: array
-    thresholds: ThresholdTable
-
-    def without_thresholds(self) -> Scope:
-        """The same scope with an empty threshold table: every size at its floor."""
-        return replace(self, thresholds=ThresholdTable(self.table.scope, {}, {}))
+    return _scope(corpus, None, table, scope_units, max_size)
 
 
 def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_size: int) -> list[Scope]:
@@ -209,7 +204,4 @@ def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_si
         sources.append((None, global_instruction_probs(corpus), [u.id for u in corpus.units]))
     if which in ("subsets", "both"):
         sources.extend((s.id, subset_instruction_probs(corpus, s), s.covered_units) for s in family.subsets)
-    return [
-        Scope(subset_id, table, *_unit_log_probs(corpus, table, unit_ids, max_size))
-        for subset_id, table, unit_ids in sources
-    ]
+    return [_scope(corpus, subset_id, table, unit_ids, max_size) for subset_id, table, unit_ids in sources]

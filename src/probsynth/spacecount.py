@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import Iterable
 
-from .probability import LOG10_SLACK, ProbabilityTable, ThresholdTable
+from .probability import LOG10_SLACK, ProbabilityTable, Scope
 
 logger = logging.getLogger(__name__)
 
@@ -239,25 +239,28 @@ class SpaceMeasurement:
     reduction_oom: float
 
 
-def measure(
-    table: ProbabilityTable, thresholds: ThresholdTable, sizes: Iterable[int], is_cap: int
-) -> list[SpaceMeasurement]:
-    """Measure admissible space and baseline reduction for each requested size.
+def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasurement]:
+    """Measure the scope's admissible space under its own table and
+    thresholds, and its reduction against the ``is_cap ** size`` baseline,
+    for each requested size.
 
-    Sizes without a derived threshold are reported and skipped. A fully
-    pruned space (admissible count 0) yields an infinite reduction, kept
-    as the float infinity sentinel.
+    Sizes without a threshold are reported and skipped. A fully pruned
+    space (admissible count 0) yields a reduction of ``math.inf``. No
+    scope ``build_scopes`` makes has one, since each threshold is the
+    probability of one of the scope's own units, but a scope given other
+    thresholds (``dataclasses.replace(scope, thresholds=...)``) can.
     """
+    table, thresholds = scope.table, scope.thresholds
     sizes = list(sizes)
-    counted = [size for size in sizes if size in thresholds.thresholds]
+    counted = [size for size in sizes if size in thresholds]
     counter = _Counter(table, max(counted)) if counted else None
     out = []
     with _sharing(counter):
         for size in sizes:
-            if size not in thresholds.thresholds:
-                logger.warning("no threshold for scope %s at size %d; skipping", thresholds.scope, size)
+            if size not in thresholds:
+                logger.warning("no threshold for scope %s at size %d; skipping", table.scope, size)
                 continue
-            threshold = thresholds.thresholds[size]
+            threshold = thresholds[size]
             admissible = count_admissible(table, size, threshold)
             baseline = baseline_size(is_cap, size)
             if admissible == 0:

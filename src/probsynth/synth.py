@@ -264,9 +264,7 @@ class _SubsetSearch:
         self.steps = [(instr, logp, _OPS[instr][0], _OPS[instr][2]) for instr, logp in ordered]
         min_log = ordered[-1][1]
         self.floors = [s * min_log for s in range(max_size + 1)]
-        self.bases = [0.0] + [
-            scope.thresholds.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)
-        ]
+        self.bases = [0.0] + [scope.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)]
         # The active thresholds of the last round searched here, which failed.
         self.tested = [float("inf")] * (max_size + 1)
 

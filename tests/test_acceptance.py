@@ -101,7 +101,7 @@ class TestCriterion3ByConstructionCoverage:
                 unit = clustered_corpus.unit_by_id[uid]
                 checked += 1
                 log_prob = solution_probability(sub_table, unit.instructions)
-                if log_prob < sub_thr.thresholds[unit.size]:
+                if log_prob < sub_thr[unit.size]:
                     exceptions += 1
         report(
             3,
@@ -140,7 +140,7 @@ class TestCriterion5ReductionTrend:
         reductions = {s: [] for s in sizes}
         for subset in clustered_family.subsets:
             scope = clustered_scopes[subset.id]
-            for m in measure(scope.table, scope.thresholds, sizes, is_cap=10):  # clustered_family's cap
+            for m in measure(scope, sizes, is_cap=10):  # clustered_family's cap
                 reductions[m.size].append(m.reduction_oom)
         elapsed = time.monotonic() - started
         medians = {s: statistics.median(v) for s, v in reductions.items() if v}
@@ -211,7 +211,7 @@ class TestCriterion7SynthesizerPruneBenefit:
                 continue
             cover = covers[0]
             log_prob = solution_probability(scopes[cover.id].table, unit.instructions)
-            base = scopes[cover.id].thresholds.thresholds.get(unit.size)
+            base = scopes[cover.id].thresholds.get(unit.size)
             if base is None or log_prob < base - 1e-9:
                 continue
             by_size[unit.size].append((unit, cover.id, log_prob, base))

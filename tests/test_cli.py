@@ -99,13 +99,23 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_failed_command_leaves_no_output(self, tmp_path, capsys):
-        corpus_path = write_corpus_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["a"]}'])
+        corpus_path = write_corpus_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["a"]}', "{"])
         out = tmp_path / "p.csv"
-        rc = run(["probs", "-i", corpus_path, "--scope", "both", "-o", str(out)])
+        rc = run(["probs", "-i", corpus_path, "-o", str(out)])
         assert rc == 1
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("scope", ["subsets", "both"])
+    @pytest.mark.parametrize("args", [["probs"], ["thresholds"], ["measure", "--sizes", "1..2"]], ids=lambda a: a[0])
+    def test_subset_scope_without_family_is_usage_error(self, tmp_path, capsys, args, scope):
+        # The corpus does not exist: the flags are rejected before any file is read.
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["-i", str(tmp_path / "nope.jsonl"), "--scope", scope, "-o", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: argument --scope: {scope} requires --family")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "args",
@@ -519,6 +529,11 @@ class TestReadme:
         lines = [line for line in self.README.read_text(encoding="utf-8").splitlines() if "pip install" not in line]
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
         assert named and named <= known, sorted(named - known)
+
+    def test_library_sketch_runs(self, capsys):
+        [sketch] = re.findall(r"```python\n(.*?)```", self.README.read_text(encoding="utf-8"), flags=re.DOTALL)
+        exec(compile(sketch, str(self.README), "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_every_parser_flag_is_documented(self):
         parser = cli._build_parser()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -181,7 +182,9 @@ class TestBuildScopes:
         assert [s.subset_id for s in scopes] == [subset_id for subset_id, _, _ in expected]
         for scope, (_, table, unit_ids) in zip(scopes, expected):
             assert scope.table == table
-            assert scope.thresholds == derive_thresholds(corpus, table, unit_ids, 20)
+            derived = derive_thresholds(corpus, table, unit_ids, 20)
+            assert derived.subset_id is None
+            assert scope == dataclasses.replace(derived, subset_id=scope.subset_id)
             kept = [uid for uid in unit_ids if corpus.unit_by_id[uid].size <= 20]
             assert list(scope.unit_ids) == kept
             assert list(scope.unit_log10_probs) == [
@@ -191,7 +194,7 @@ class TestBuildScopes:
     def test_without_thresholds(self, clustered_corpus):
         [scope] = build_scopes(clustered_corpus, None, "global", 30)
         bare = scope.without_thresholds()
-        assert bare.thresholds.thresholds == {} and bare.thresholds.scope == scope.table.scope
+        assert bare.thresholds == {} and bare.support_counts == {}
         assert bare.table == scope.table and bare.unit_ids == scope.unit_ids
 
     def test_unknown_selection_rejected(self, clustered_corpus):

@@ -1,5 +1,6 @@
 """Every public function, class and method has a caller outside the tests,
-and every CSV artifact goes through one writer.
+every import and module logger is read where it is bound, and every CSV
+artifact goes through one writer.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
@@ -73,6 +74,32 @@ def test_sources_define_public_names():
 def test_every_public_name_has_a_caller():
     unused = _unused()
     assert not unused, f"public names that only tests reach: {unused}"
+
+
+def _unread(path: Path) -> list[str]:
+    """The names the module imports, and its module-level ``logger``, that
+    nothing in the module reads. ``from __future__`` imports change how the
+    module compiles and are never read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [
+        (node.lineno, (alias.asname or alias.name).split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    bound += [
+        (node.lineno, "logger")
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "logger" for target in node.targets)
+    ]
+    return [f"{path.name}:{line} {name}" for line, name in bound if name not in read]
+
+
+def test_every_import_and_logger_is_read():
+    # The package __init__ imports only to re-export.
+    unread = [place for path in SOURCES if path.name != "__init__.py" for place in _unread(path)]
+    assert not unread, f"bound but never read: {unread}"
 
 
 def _calls(name: str) -> list[tuple[str, str]]:

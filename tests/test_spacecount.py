@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -15,12 +16,13 @@ from probsynth import (
     LOG10_SLACK,
     Corpus,
     ProgramUnit,
-    ThresholdTable,
     baseline_size,
     brute_force_count,
+    build_scopes,
     cli,
     count_admissible,
     derive_thresholds,
+    load_corpus,
     measure,
     save_corpus,
     solution_probability,
@@ -257,38 +259,36 @@ class TestBaseline:
 
 class TestMeasure:
     def test_nothing_pruned(self):
-        thr = derive_thresholds(
+        scope = derive_thresholds(
             Corpus(units=(ProgramUnit("u1", ("a", "b")), ProgramUnit("u2", ("b", "b")))),
             UNIFORM2,
             ["u1", "u2"],
             max_size=5,
         )
-        [m] = measure(UNIFORM2, thr, [2], is_cap=2)
+        [m] = measure(scope, [2], is_cap=2)
         assert m.admissible_count == 4
         assert m.baseline_count == 4
         assert m.reduction_oom == 0.0
 
     def test_reduction_in_orders_of_magnitude(self):
-        thr_table = derive_thresholds(
-            Corpus(units=(ProgramUnit("u1", ("a", "a")),)), SKEWED2, ["u1"], max_size=5
-        )
-        [m] = measure(SKEWED2, thr_table, [2], is_cap=2)
+        scope = derive_thresholds(Corpus(units=(ProgramUnit("u1", ("a", "a")),)), SKEWED2, ["u1"], max_size=5)
+        [m] = measure(scope, [2], is_cap=2)
         assert m.admissible_count == 1
         assert m.baseline_count == 4
         assert m.reduction_oom == pytest.approx(math.log10(4), rel=1e-12)
 
     def test_missing_threshold_skipped(self, caplog):
-        thr_table = derive_thresholds(
-            Corpus(units=(ProgramUnit("u1", ("a", "a")),)), SKEWED2, ["u1"], max_size=5
-        )
+        scope = derive_thresholds(Corpus(units=(ProgramUnit("u1", ("a", "a")),)), SKEWED2, ["u1"], max_size=5)
         with caplog.at_level("WARNING"):
-            out = measure(SKEWED2, thr_table, [2, 3], is_cap=2)
+            out = measure(scope, [2, 3], is_cap=2)
         assert [m.size for m in out] == [2]
-        assert "size 3" in caplog.text
+        assert "scope global at size 3" in caplog.text
 
     def test_empty_space_reports_infinite_reduction(self):
-        impossible = ThresholdTable(scope="global", thresholds={2: 0.5}, support_counts={2: 1})
-        [m] = measure(UNIFORM2, impossible, [2], is_cap=2)
+        # A fully pruned space cannot come from a scope's own units: give the
+        # scope a threshold above every candidate.
+        [scope] = build_scopes(Corpus(units=(ProgramUnit("u1", ("a", "b")),)), None, "global", 2)
+        [m] = measure(dataclasses.replace(scope, thresholds={2: 0.5}), [2], is_cap=2)
         assert m.admissible_count == 0
         assert m.reduction_oom == math.inf
 
@@ -304,7 +304,7 @@ class TestMeasure:
         assert row.split(",")[4:6] == [str(10**40), str(10**40)]
         # A fully pruned space cannot come from corpus thresholds: render one
         # through the writer every artifact uses.
-        impossible = ThresholdTable(scope="global", thresholds={2: 0.5}, support_counts={2: 1})
-        [m] = measure(table_from_counts("global", {f"x{i}": 1 for i in range(10)}), impossible, [2], is_cap=10)
+        [scope] = build_scopes(load_corpus(corpus_path), None, "global", 40)
+        [m] = measure(dataclasses.replace(scope, thresholds={2: 0.5}), [2], is_cap=10)
         cli._write_csv(str(out), ["admissible_count", "reduction_oom"], [(m.admissible_count, fmt12(m.reduction_oom))])
         assert out.read_text() == "admissible_count,reduction_oom\n0,inf\n"

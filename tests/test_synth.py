@@ -241,7 +241,7 @@ class TestSynthesize:
         # the subset that covers it
         cover = next(s for s in dsl_family.subsets if planted.id in s.covered_units)
         log_prob = solution_probability(dsl_scopes[cover.id].table, planted.instructions)
-        assert log_prob >= dsl_scopes[cover.id].thresholds.thresholds[planted.size] - 1e-9
+        assert log_prob >= dsl_scopes[cover.id].thresholds[planted.size] - 1e-9
 
     def test_found_solution_clears_active_threshold(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 5),))
@@ -250,7 +250,7 @@ class TestSynthesize:
         table = dsl_scopes[report.solved_subset_id].table
         thr = dsl_scopes[report.solved_subset_id].thresholds
         size = len(report.solution)
-        base = thr.thresholds.get(size, size * table.min_log10)
+        base = thr.get(size, size * table.min_log10)
         assert solution_probability(table, report.solution) >= base - 1e-9
 
     def test_unsatisfiable_spec_exhausts_schedule(self, dsl_scopes):
@@ -480,7 +480,7 @@ def planted_fixture():
         cover = next((s for s in family.subsets if unit.unique_instructions <= s.members), None)
         if cover is None:
             continue
-        base = scopes[cover.id].thresholds.thresholds.get(unit.size)
+        base = scopes[cover.id].thresholds.get(unit.size)
         if base is None or solution_probability(scopes[cover.id].table, unit.instructions) < base - 1e-9:
             continue
         planted[unit.size].append(unit.instructions)
