@@ -34,7 +34,6 @@ from .probability import (
 from .spacecount import (
     SpaceMeasurement,
     baseline_size,
-    brute_force_count,
     count_admissible,
     measure,
 )
@@ -53,9 +52,7 @@ from .synth import (
     TestCaseSpec,
     evaluate,
     random_program_corpus,
-    stack_effect,
     synthesize,
-    well_formed,
 )
 from .xval import ValidationResult, validate
 

@@ -1,8 +1,8 @@
 """Command-line pipeline for the corpus heuristics toolkit.
 
 Subcommands: gen, cluster, probs, thresholds, measure, validate, synth.
-Every command validates its inputs up front, writes outputs atomically
-(temp file then rename), and emits deterministic bytes for fixed seeds.
+Every command validates its inputs up front and returns its outputs, which
+``main`` writes all or none of, with deterministic bytes for fixed seeds.
 Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import logging
 import math
@@ -18,9 +19,9 @@ import os
 import statistics
 import sys
 import tempfile
-from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import IO, Callable, Iterable
 
 from .corpus import (
     Corpus,
@@ -44,36 +45,48 @@ from .synth import load_test_spec, random_program_corpus, synthesize
 from .xval import validate
 
 
-@contextmanager
-def _atomic_output(path: str):
-    """Write to a temp file next to the target, then rename into place,
-    with the mode a plain ``open`` would give (``mkstemp`` makes 0600)."""
-    target = Path(path)
-    parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=target.name + ".", suffix=".tmp")
+_Outputs = list[tuple[str, Callable[[IO[str]], None]]]
+
+
+def _write_csv(header: list[str], rows: Iterable[Iterable], f: IO[str]) -> None:
+    """Write one CSV artifact: the header, then the rows, with ``\n`` line
+    ends. Rows carry floats already rendered by ``fmt12``; ints are written
+    exactly and None as an empty cell."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _commit(outputs: _Outputs) -> None:
+    """Write all of a command's (path, write) outputs or none: each ``write``
+    streams into a temp file next to its path, and only once every write has
+    succeeded are they renamed into place, with the mode a plain ``open``
+    would give (``mkstemp`` makes 0600). On failure no temp file is left, and
+    an ``OSError`` names its path. A path that is a directory fails before
+    any rename, as its own rename would fail after earlier ones."""
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            yield f
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write one CSV artifact atomically: the header, then the rows, with
-    ``\n`` line ends. Rows carry floats already rendered by ``fmt12``;
-    ints are written exactly and None as an empty cell."""
-    with _atomic_output(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for path, write in outputs:
+            target = Path(path)
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+            staged.append(tmp_name)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+                write(f)
+            os.chmod(tmp_name, 0o666 & ~umask)
+        for tmp_name, (path, _) in zip(staged, outputs):
+            os.replace(tmp_name, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for tmp_name in staged:
+            try:
+                os.unlink(tmp_name)  # gone already once renamed
+            except OSError:
+                pass
 
 
 def _ranged(convert: Callable, ok: Callable, bound: str) -> Callable[[str], float]:
@@ -138,7 +151,7 @@ def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
     return family
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> _Outputs:
     if args.dsl_programs:
         corpus = random_program_corpus(
             num_units=args.units,
@@ -156,20 +169,16 @@ def cmd_gen(args) -> int:
             clusters=args.clusters,
             cluster_size=args.cluster_size,
         )
-    with _atomic_output(args.output) as f:
-        save_corpus(corpus, f)
-    return 0
+    return [(args.output, partial(save_corpus, corpus))]
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> _Outputs:
     corpus = load_corpus(args.input)
     family = cluster_subsets(corpus, cap=args.cap)
-    with _atomic_output(args.output) as f:
-        save_family(family, f)
-    return 0
+    return [(args.output, partial(save_family, family))]
 
 
-def cmd_probs(args) -> int:
+def cmd_probs(args) -> _Outputs:
     corpus = load_corpus(args.input)
     family = _load_family_arg(args, corpus)
     tables: list[ProbabilityTable] = []
@@ -182,8 +191,7 @@ def cmd_probs(args) -> int:
         for table in tables
         for instruction, log_prob in table.log10_probs.items()
     )
-    _write_csv(args.output, ["scope", "instruction", "count", "log10_probability"], rows)
-    return 0
+    return [(args.output, partial(_write_csv, ["scope", "instruction", "count", "log10_probability"], rows))]
 
 
 def _range_rows(scope: Scope, corpus: Corpus, max_size: int) -> Iterable[tuple]:
@@ -202,7 +210,7 @@ def _range_rows(scope: Scope, corpus: Corpus, max_size: int) -> Iterable[tuple]:
         yield (table.scope, size, fmt12(size * table.min_log10), fmt12(size * table.max_log10), *summary, len(logs))
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args) -> _Outputs:
     corpus = load_corpus(args.input)
     scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.max_size)
     if not any(scope.unit_ids for scope in scopes):
@@ -212,23 +220,23 @@ def cmd_thresholds(args) -> int:
         for scope in scopes
         for size, threshold in scope.thresholds.items()
     )
-    _write_csv(args.output, ["scope", "size", "count", "log10_probability"], rows)
+    outputs = [(args.output, partial(_write_csv, ["scope", "size", "count", "log10_probability"], rows))]
     if args.ranges:
         header = ["scope", "size", "min_possible_log10", "max_possible_log10"]
         header += ["observed_min_log10", "observed_median_log10", "observed_max_log10", "n_observed"]
         rows = (row for scope in scopes for row in _range_rows(scope, corpus, args.max_size))
-        _write_csv(args.ranges, header, rows)
+        outputs.append((args.ranges, partial(_write_csv, header, rows)))
     if args.pu_probs:
         rows = (
             (scope.table.scope, unit_id, corpus.unit_by_id[unit_id].size, fmt12(log_prob))
             for scope in scopes
             for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs)
         )
-        _write_csv(args.pu_probs, ["scope", "pu_id", "size", "log10_probability"], rows)
-    return 0
+        outputs.append((args.pu_probs, partial(_write_csv, ["scope", "pu_id", "size", "log10_probability"], rows)))
+    return outputs
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> _Outputs:
     corpus = load_corpus(args.input)
     sizes = range(args.sizes.lo, args.sizes.hi + 1)
     scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.sizes.hi)
@@ -242,11 +250,10 @@ def cmd_measure(args) -> int:
         (m.scope, m.size, "sequences", fmt12(m.threshold), m.admissible_count, m.baseline_count, fmt12(m.reduction_oom))
         for m in measured
     )
-    _write_csv(args.output, header, rows)
-    return 0
+    return [(args.output, partial(_write_csv, header, rows))]
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Outputs:
     corpus = load_corpus(args.input)
     results = validate(corpus, args.fractions, args.max_size, args.seed)
     if not any(result.per_size_coverage for result in results):
@@ -256,11 +263,10 @@ def cmd_validate(args) -> int:
         for result in results
         for size, coverage in result.per_size_coverage.items()
     )
-    _write_csv(args.output, ["fraction", "size", "coverage_pct", "n_test_pus"], rows)
-    return 0
+    return [(args.output, partial(_write_csv, ["fraction", "size", "coverage_pct", "n_test_pus"], rows))]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> _Outputs:
     corpus = load_corpus(args.input)
     spec = load_test_spec(args.spec)
     family = cluster_subsets(corpus, cap=args.cap)
@@ -268,10 +274,7 @@ def cmd_synth(args) -> int:
     if args.no_prune:
         scopes = [scope.without_thresholds() for scope in scopes]
     report = synthesize(spec, scopes, args.max_size)
-    with _atomic_output(args.output) as f:
-        json.dump(dataclasses.asdict(report), f, indent=2)
-        f.write("\n")
-    return 0
+    return [(args.output, lambda f: f.write(json.dumps(dataclasses.asdict(report), indent=2) + "\n"))]
 
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
@@ -368,11 +371,16 @@ def main(argv: list[str] | None = None) -> int:
         args.scope = "both" if args.family else "global"
     elif scope in ("subsets", "both") and not args.family:
         parser.error(f"argument --scope: {scope} requires --family")
+    outputs = (args.output, getattr(args, "ranges", None), getattr(args, "pu_probs", None))
+    paths = [os.path.realpath(path) for path in outputs if path]
+    if len(set(paths)) < len(paths):
+        parser.error("arguments -o/--ranges/--pu-probs: two outputs name the same file")
     try:
-        return args.func(args)
+        _commit(args.func(args))
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

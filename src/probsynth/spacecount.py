@@ -52,16 +52,12 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable
 
 from .probability import LOG10_SLACK, ProbabilityTable, Scope
 
 logger = logging.getLogger(__name__)
-
-# brute_force_count refuses anything bigger than this
-_BRUTE_FORCE_MAX_ALPHABET = 8
-_BRUTE_FORCE_MAX_SIZE = 8
 
 # Most entries the bottom tables of one counter may hold, over all totals.
 # An entry is a float in an array and a suffix sum in a list, about 50
@@ -199,23 +195,6 @@ def count_admissible(table: ProbabilityTable, size: int, threshold: float) -> in
     if counter is None or not counter.serves(table, size):
         counter = _Counter(table, size)
     return counter.count(size, threshold)
-
-
-def brute_force_count(table: ProbabilityTable, size: int, threshold: float) -> int:
-    """Test oracle: full enumeration with no pruning, same admissibility rule.
-
-    Guarded to alphabets of at most 8 instructions and sizes of at most 8.
-    """
-    if len(table.log10_probs) > _BRUTE_FORCE_MAX_ALPHABET or size > _BRUTE_FORCE_MAX_SIZE:
-        raise ValueError(
-            f"brute force guard: need alphabet <= {_BRUTE_FORCE_MAX_ALPHABET} and "
-            f"size <= {_BRUTE_FORCE_MAX_SIZE}, got {len(table.log10_probs)} and {size}"
-        )
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    logs = list(table.log10_probs.values())
-    limit = threshold - LOG10_SLACK
-    return sum(1 for candidate in product(logs, repeat=size) if sum(candidate) >= limit)
 
 
 def baseline_size(is_cap: int, size: int) -> int:

@@ -152,25 +152,6 @@ def evaluate(program: Sequence[str], inputs: Sequence = ()):
     return stack[-1]
 
 
-def stack_effect(program: Sequence[str], input_arity: int = 0) -> int | None:
-    """Statically computed final stack depth, or None on underflow."""
-    depth = input_arity
-    for instruction in program:
-        if instruction not in _OPS:
-            return None
-        in_arity, out_arity, _ = _OPS[instruction]
-        if depth < in_arity:
-            return None
-        depth += out_arity - in_arity
-    return depth
-
-
-def well_formed(program: Sequence[str], input_arity: int = 0) -> bool:
-    """True when the program never underflows and leaves a result on the stack."""
-    depth = stack_effect(program, input_arity)
-    return depth is not None and depth >= 1
-
-
 def _check_value(value, where: str) -> None:
     if type(value) is int:
         return
@@ -208,10 +189,6 @@ class TestCaseSpec:
                 raise ValueError(f"case {i}: expected {arity} inputs, got {len(case.inputs)}")
             for value in case.inputs:
                 _check_value(value, f"case {i}")
-
-    @property
-    def input_arity(self) -> int:
-        return len(self.cases[0].inputs)
 
 
 def _values_equal(result, expected) -> bool:
@@ -476,16 +453,19 @@ def random_program_corpus(
     """Corpus of random well-formed DSL programs for synthesizer experiments.
 
     Instructions are drawn Zipf-weighted in the order the alphabet lists
-    them; candidates are rejected until they are statically well-formed for
-    ``input_arity`` and evaluate without fault on every probe input. The
-    stored instruction list keeps program order, so corpus units double as
-    runnable programs.
+    them; candidates are rejected until they evaluate without fault on every
+    probe input, each of ``input_arity`` values. Arities do not depend on the
+    data, so a kept program never underflows and leaves a result on any
+    input of that arity. The stored instruction list keeps program order, so
+    corpus units double as runnable programs.
     """
     if num_units < 1:
         raise ValueError(f"num_units must be >= 1, got {num_units}")
     for instruction in alphabet:
         if instruction not in _OPS:
             raise ValueError(f"unknown DSL instruction {instruction!r}")
+    if not probe_inputs:
+        raise ValueError("random_program_corpus needs at least one probe input")
     for probe in probe_inputs:
         if len(probe) != input_arity:
             raise ValueError(f"probe {probe!r} does not match input arity {input_arity}")
@@ -508,8 +488,6 @@ def random_program_corpus(
             )
         size = size_distribution.sample(rng)
         program = tuple(rng.choices(alphabet, cum_weights=cum, k=size))
-        if not well_formed(program, input_arity):
-            continue
         if any(isinstance(evaluate(program, probe), Fault) for probe in probe_inputs):
             continue
         units.append(ProgramUnit(id=f"p{len(units) + 1:0{id_width}d}", instructions=program))

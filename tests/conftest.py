@@ -1,5 +1,6 @@
 """Shared corpus fixtures, session-scoped since generation is deterministic,
-and the helpers that make and check test-case specs.
+the helpers that make and check test-case specs, and the brute-force
+counting oracle.
 
 Scope fixtures are lists in family order; cluster_subsets numbers subsets
 from 0, so ``scopes[subset.id]`` is that subset's scope.
@@ -9,11 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import product
 
 import pytest
 
 from probsynth import (
+    LOG10_SLACK,
     Fault,
+    ProbabilityTable,
     TestCase,
     TestCaseSpec,
     build_scopes,
@@ -23,6 +27,27 @@ from probsynth import (
     random_program_corpus,
 )
 from probsynth.synth import _values_equal
+
+# brute_force_count refuses anything bigger than this
+_BRUTE_FORCE_MAX_ALPHABET = 8
+_BRUTE_FORCE_MAX_SIZE = 8
+
+
+def brute_force_count(table: ProbabilityTable, size: int, threshold: float) -> int:
+    """Test oracle: full enumeration with no pruning, same admissibility rule.
+
+    Guarded to alphabets of at most 8 instructions and sizes of at most 8.
+    """
+    if len(table.log10_probs) > _BRUTE_FORCE_MAX_ALPHABET or size > _BRUTE_FORCE_MAX_SIZE:
+        raise ValueError(
+            f"brute force guard: need alphabet <= {_BRUTE_FORCE_MAX_ALPHABET} and "
+            f"size <= {_BRUTE_FORCE_MAX_SIZE}, got {len(table.log10_probs)} and {size}"
+        )
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    logs = list(table.log10_probs.values())
+    limit = threshold - LOG10_SLACK
+    return sum(1 for candidate in product(logs, repeat=size) if sum(candidate) >= limit)
 
 
 def cases_from_program(program, inputs_list) -> TestCaseSpec:

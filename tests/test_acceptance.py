@@ -21,7 +21,6 @@ import pytest
 from probsynth import (
     DSL_ALPHABET,
     baseline_size,
-    brute_force_count,
     build_scopes,
     cli,
     cluster_subsets,
@@ -38,7 +37,7 @@ from probsynth import (
 )
 from fractions import Fraction
 
-from conftest import cases_from_program, satisfies
+from conftest import brute_force_count, cases_from_program, satisfies
 from test_synth import uncut_synthesize
 
 

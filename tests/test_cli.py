@@ -343,6 +343,73 @@ class TestExitCodes:
         assert not report_path.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ranges", "{out}"],
+            ["--pu-probs", "{out}"],
+            ["--ranges", "{tmp}/r.csv", "--pu-probs", "{tmp}/sub/../r.csv"],
+        ],
+        ids=["ranges", "pu-probs", "ranges-pu-probs"],
+    )
+    def test_outputs_naming_one_file_is_usage_error(self, tmp_path, capsys, flags):
+        # The corpus does not exist: the paths are rejected before any file is read.
+        out = tmp_path / "out.csv"
+        argv = [flag.format(out=out, tmp=tmp_path) for flag in flags]
+        with pytest.raises(SystemExit) as exc:
+            run(["thresholds", "-i", str(tmp_path / "nope.jsonl"), *argv, "-o", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("two outputs name the same file")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--units", "5", "--seed", "1", "-o", "{missing}"],
+            ["cluster", "-o", "{missing}"],
+            ["probs", "-o", "{missing}"],
+            ["thresholds", "-o", "{missing}"],
+            ["thresholds", "--ranges", "{missing}", "-o", "{out}"],
+            ["thresholds", "--ranges", "{out2}", "--pu-probs", "{missing}", "-o", "{out}"],
+            ["measure", "--sizes", "3", "-o", "{missing}"],
+            ["validate", "--fractions", "0.5", "--seed", "1", "-o", "{missing}"],
+            ["synth", "--spec", "{spec}", "--max-size", "3", "-o", "{missing}"],
+        ],
+        ids=["gen", "cluster", "probs", "thresholds", "thresholds-ranges", "thresholds-pu-probs",
+             "measure", "validate", "synth"],
+    )
+    def test_output_in_missing_directory_writes_nothing(self, tmp_path, capsys, args):
+        corpus_path = write_corpus_lines(
+            tmp_path / "c.jsonl", [f'{{"id":"u{i}","instructions":["push1","push2","add"]}}' for i in range(5)]
+        )
+        write_spec(TestCaseSpec(cases=(TestCase((), 3),)), tmp_path / "spec.json")
+        missing = tmp_path / "nodir" / "x"
+        names = {"missing": missing, "out": tmp_path / "out.csv", "out2": tmp_path / "out2.csv"}
+        argv = [a.format(spec=tmp_path / "spec.json", **names) for a in args]
+        rc = run(argv if args[0] == "gen" else argv + ["-i", corpus_path])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "spec.json"]
+
+    def test_output_that_is_a_directory_writes_nothing(self, tmp_path, capsys):
+        corpus_path = write_corpus_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["a"]}'])
+        (tmp_path / "adir").mkdir()
+        rc = run(["thresholds", "-i", corpus_path, "--ranges", str(tmp_path / "adir"), "-o", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'adir'}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "c.jsonl"]
+        assert not list((tmp_path / "adir").iterdir())
+
+    def test_commit_writes_nothing_when_a_later_output_fails(self, tmp_path):
+        def fail(f):
+            f.write("partial\n")
+            raise ValueError("cannot render")
+
+        outputs = [(str(tmp_path / "a.csv"), lambda f: f.write("a\n")), (str(tmp_path / "b.csv"), fail)]
+        with pytest.raises(ValueError, match="cannot render"):
+            cli._commit(outputs)
+        assert not list(tmp_path.iterdir())
+
 
 class TestLogging:
     @pytest.fixture()

@@ -1,11 +1,14 @@
 """Every public function, class and method has a caller outside the tests,
-every import and module logger is read where it is bound, and every CSV
-artifact goes through one writer.
+every import and module logger is read where it is bound, every CSV
+artifact goes through one writer, and every output file through one
+write path.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
-span or code block of README.md names it. Dunder methods are called by
-the language, so they are not checked.
+span or code block of README.md names it. A method or property counts as
+used only through an attribute (`x.name`), since a bare name of the same
+spelling is some other variable. Dunder methods are called by the
+language, so they are not checked.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(path: Path) -> tuple[list, list]:
-    """The file's public definitions, and every name it refers to, each
-    with the definitions that enclose the reference."""
+    """The file's public definitions, each with whether it is a method, and
+    every name it refers to, each with whether it is an attribute and the
+    definitions that enclose the reference."""
     defs: list = []
     refs: list = []
 
@@ -31,13 +35,13 @@ def _names(path: Path) -> tuple[list, list]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _DEFS):
                 if not child.name.startswith("_"):
-                    defs.append(child)
+                    defs.append((child, bool(enclosing) and isinstance(enclosing[-1], ast.ClassDef)))
                 walk(child, enclosing + (child,))
                 continue
             if isinstance(child, ast.Name):
-                refs.append((child.id, enclosing))
+                refs.append((child.id, False, enclosing))
             elif isinstance(child, ast.Attribute):
-                refs.append((child.attr, enclosing))
+                refs.append((child.attr, True, enclosing))
             walk(child, enclosing)
 
     walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), ())
@@ -51,24 +55,28 @@ def _readme_names() -> set[str]:
 
 
 def _unused() -> list[str]:
-    defs: list = []
-    refs: list = []
-    for path in SOURCES:
-        file_defs, file_refs = _names(path)
-        defs += [(f"{path.name}:{node.lineno} {node.name}", node) for node in file_defs]
-        refs += file_refs
-    elsewhere = _readme_names() | {name for path in BENCH for name, _ in _names(path)[1]}
+    defs = [
+        (f"{path.name}:{node.lineno} {node.name}", node, method)
+        for path in SOURCES
+        for node, method in _names(path)[0]
+    ]
+    refs = [ref for path in SOURCES + BENCH for ref in _names(path)[1]]
+    readme = _readme_names()
     return [
         place
-        for place, node in defs
-        if node.name not in elsewhere
-        and not any(name == node.name and node not in enclosing for name, enclosing in refs)
+        for place, node, method in defs
+        if node.name not in readme
+        and not any(
+            name == node.name and (attribute or not method) and node not in enclosing
+            for name, attribute, enclosing in refs
+        )
     ]
 
 
 def test_sources_define_public_names():
     defs, _ = _names(ROOT / "src" / "probsynth" / "synth.py")
-    assert {"synthesize", "TestCaseSpec", "input_arity"} <= {node.name for node in defs}
+    found = {(node.name, method) for node, method in defs}
+    assert {("synthesize", False), ("TestCaseSpec", False), ("round_thresholds", True)} <= found
 
 
 def test_every_public_name_has_a_caller():
@@ -104,7 +112,8 @@ def test_every_import_and_logger_is_read():
 
 def _calls(name: str) -> list[tuple[str, str]]:
     """Each call under `src/probsynth` of a function called ``name``, plain
-    or as an attribute, as (file, enclosing function)."""
+    or as an attribute, or of the dotted ``name`` itself (``os.replace``),
+    as (file, enclosing function)."""
     found = []
 
     def walk(node: ast.AST, path: Path, function: str) -> None:
@@ -114,7 +123,7 @@ def _calls(name: str) -> list[tuple[str, str]]:
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                if name in (getattr(func, "id", None), getattr(func, "attr", None), ast.unparse(func)):
                     found.append((path.name, function))
             walk(child, path, function)
 
@@ -134,3 +143,11 @@ def test_one_csv_writer():
     assert importers == ["cli.py"]
     assert _calls("writer") == [("cli.py", "_write_csv")]
     assert {path for path, _ in _calls("fmt12")} == {"cli.py"}
+
+
+def test_one_write_path():
+    # Commands return their outputs; only cli._commit creates, writes and
+    # renames files into place.
+    for name in ("mkstemp", "fdopen", "os.replace"):
+        assert _calls(name) == [("cli.py", "_commit")], name
+    assert not [call for call in _calls("open") if call[0] == "cli.py"]

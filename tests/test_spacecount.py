@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from probsynth import (
     Corpus,
     ProgramUnit,
     baseline_size,
-    brute_force_count,
     build_scopes,
     cli,
     count_admissible,
@@ -30,6 +31,8 @@ from probsynth import (
 )
 from probsynth.probability import fmt12
 from probsynth.spacecount import _Counter, _sharing
+
+from conftest import brute_force_count
 
 UNIFORM2 = table_from_counts("global", {"a": 1, "b": 1})
 SKEWED2 = table_from_counts("global", {"a": 9, "b": 1})
@@ -197,6 +200,64 @@ class TestSplitPoints:
             assert [counter.count(size, threshold) for counter in counters] == [expected] * 2, q
 
 
+def products_at_least(counts: list[int], size: int) -> tuple[list[int], list[int]]:
+    """The paper's admissibility in integers: the count products of every
+    multiset of ``size`` over ``counts``, ascending, and the suffix sums of
+    their multinomial weights, so that ``weights[bisect_left(products, p)]``
+    counts the candidates whose probability is at least that of a candidate
+    of product ``p`` (probabilities are the products over a common
+    denominator)."""
+    weighted = Counter()
+    for combo in combinations_with_replacement(range(len(counts)), size):
+        weight = math.factorial(size)
+        for m in Counter(combo).values():
+            weight //= math.factorial(m)
+        weighted[math.prod(counts[i] for i in combo)] += weight
+    products = sorted(weighted)
+    return products, list(accumulate(weighted[p] for p in reversed(products)))[::-1] + [0]
+
+
+class TestIntegerProducts:
+    def test_readme_subsets_at_their_own_thresholds(self, clustered_corpus, clustered_scopes):
+        checked = 0
+        for scope in clustered_scopes:
+            table = scope.table
+            counter = _Counter(table, 6)
+            least: dict[int, int] = {}
+            for unit_id in scope.unit_ids:
+                unit = clustered_corpus.unit_by_id[unit_id]
+                if unit.size <= 6:
+                    product = math.prod(table.counts[i] for i in unit.instructions)
+                    least[unit.size] = min(least.get(unit.size, product), product)
+            for size, product in least.items():
+                products, weights = products_at_least(list(table.counts.values()), size)
+                expected = weights[bisect_left(products, product)]
+                assert counter.count(size, scope.thresholds[size]) == expected, (table.scope, size)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1, 2, 3, 4, 6, 12], [2, 4, 8, 16], [5, 10, 20, 25, 50, 100, 7]],
+        ids=["divisors-of-12", "powers-of-two", "mixed"],
+    )
+    def test_exact_ties_at_every_split(self, counts):
+        # Many multisets share one count product, so each candidate's own
+        # probability, as a threshold, is an exact tie with others.
+        table = table_from_counts("global", {f"x{i}": c for i, c in enumerate(counts)})
+        names = list(table.log10_probs)
+        ordered = list(table.counts.values())
+        k = len(names)
+        for size in range(1, 7):
+            products, weights = products_at_least(ordered, size)
+            counters = [_Counter(table, size, bottom=b) for b in range(k + 1)]
+            for combo in combinations_with_replacement(range(k), size):
+                threshold = solution_probability(table, [names[i] for i in combo])
+                expected = weights[bisect_left(products, math.prod(ordered[i] for i in combo))]
+                got = [counter.count(size, threshold) for counter in counters]
+                assert got == [expected] * (k + 1), (size, combo)
+
+
 class TestCountingProperties:
     def test_sequences_are_multinomial_weighted_multisets(self):
         rng = random.Random(77)
@@ -306,5 +367,6 @@ class TestMeasure:
         # through the writer every artifact uses.
         [scope] = build_scopes(load_corpus(corpus_path), None, "global", 40)
         [m] = measure(dataclasses.replace(scope, thresholds={2: 0.5}), [2], is_cap=10)
-        cli._write_csv(str(out), ["admissible_count", "reduction_oom"], [(m.admissible_count, fmt12(m.reduction_oom))])
+        rows = [(m.admissible_count, fmt12(m.reduction_oom))]
+        cli._commit([(str(out), functools.partial(cli._write_csv, ["admissible_count", "reduction_oom"], rows))])
         assert out.read_text() == "admissible_count,reduction_oom\n0,inf\n"

@@ -26,9 +26,7 @@ from probsynth import (
     evaluate,
     random_program_corpus,
     solution_probability,
-    stack_effect,
     synthesize,
-    well_formed,
 )
 from probsynth.probability import LOG10_SLACK
 from probsynth.synth import _step, _SubsetSearch, _values_equal, load_test_spec
@@ -146,22 +144,16 @@ class TestEvaluate:
 
 
 class TestWellFormed:
-    def test_stack_effect_counts_depth(self):
-        assert stack_effect(["push1", "push2", "add"], 0) == 1
-        assert stack_effect(["dup"], 1) == 2
-        assert stack_effect(["add"], 0) is None
-
-    def test_well_formed_needs_a_result(self):
-        assert well_formed(["push1"], 0)
-        assert not well_formed(["drop"], 1)
-        assert not well_formed(["add"], 1)
-
     def test_well_formed_programs_never_underflow(self):
         corpus = random_program_corpus(150, "1..6", seed=23)
         for unit in corpus.units:
             result = evaluate(unit.instructions, ())
             assert result != Fault("stack-underflow")
             assert result != Fault("empty-stack")
+
+    def test_needs_a_probe_input(self):
+        with pytest.raises(ValueError, match="probe input"):
+            random_program_corpus(10, "1..3", seed=23, probe_inputs=())
 
     def test_program_corpus_deterministic(self):
         a = random_program_corpus(80, "1..5", seed=23, input_arity=1, probe_inputs=((4,),))
