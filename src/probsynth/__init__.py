@@ -28,12 +28,10 @@ from .probability import (
     global_instruction_probs,
     solution_probability,
     subset_instruction_probs,
-    subset_scope,
     table_from_counts,
 )
 from .spacecount import (
     SpaceMeasurement,
-    baseline_size,
     count_admissible,
     measure,
 )

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable
 
 from .corpus import (
+    CLUSTER_SIZE,
     Corpus,
     SizeSpec,
     generate_zipf_corpus,
@@ -31,14 +32,7 @@ from .corpus import (
     parse_size_spec,
     save_corpus,
 )
-from .probability import (
-    ProbabilityTable,
-    Scope,
-    build_scopes,
-    fmt12,
-    global_instruction_probs,
-    subset_instruction_probs,
-)
+from .probability import Scope, build_scopes, fmt12, scope_sources
 from .spacecount import measure
 from .subsets import SubsetFamily, cluster_subsets, load_family, save_family
 from .synth import load_test_spec, random_program_corpus, synthesize
@@ -167,7 +161,6 @@ def cmd_gen(args) -> _Outputs:
             size_distribution=args.sizes,
             seed=args.seed,
             clusters=args.clusters,
-            cluster_size=args.cluster_size,
         )
     return [(args.output, partial(save_corpus, corpus))]
 
@@ -180,15 +173,10 @@ def cmd_cluster(args) -> _Outputs:
 
 def cmd_probs(args) -> _Outputs:
     corpus = load_corpus(args.input)
-    family = _load_family_arg(args, corpus)
-    tables: list[ProbabilityTable] = []
-    if args.scope in ("global", "both"):
-        tables.append(global_instruction_probs(corpus))
-    if args.scope in ("subsets", "both"):
-        tables.extend(subset_instruction_probs(corpus, subset) for subset in family.subsets)
+    sources = scope_sources(corpus, _load_family_arg(args, corpus), args.scope)
     rows = (
         (table.scope, instruction, table.counts[instruction], fmt12(log_prob))
-        for table in tables
+        for _, table, _ in sources
         for instruction, log_prob in table.log10_probs.items()
     )
     return [(args.output, partial(_write_csv, ["scope", "instruction", "count", "log10_probability"], rows))]
@@ -295,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_size_spec, default="1..40", help="unit size range A..B (default 1..40)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--clusters", type=_non_negative_int, default=0, help="overlapping instruction pools (0 = none)")
-    p.add_argument("--cluster-size", type=_positive_int, default=10, help="instructions per pool")
     p.add_argument(
         "--dsl-programs",
         action="store_true",
@@ -364,18 +351,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _configure_logging()
-    if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.cluster_size > args.alphabet:
-        parser.error(f"argument --cluster-size: must be <= --alphabet ({args.alphabet}), got {args.cluster_size}")
+    if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.alphabet < CLUSTER_SIZE:
+        parser.error(f"argument --alphabet: must be >= {CLUSTER_SIZE} when --clusters is above 0, got {args.alphabet}")
     scope = getattr(args, "scope", None)
     if scope == "auto":
         args.scope = "both" if args.family else "global"
     elif scope in ("subsets", "both") and not args.family:
         parser.error(f"argument --scope: {scope} requires --family")
-    outputs = (args.output, getattr(args, "ranges", None), getattr(args, "pu_probs", None))
-    paths = [os.path.realpath(path) for path in outputs if path]
+    outputs = [path for path in (args.output, getattr(args, "ranges", None), getattr(args, "pu_probs", None)) if path]
+    paths = [os.path.realpath(path) for path in outputs]
     if len(set(paths)) < len(paths):
         parser.error("arguments -o/--ranges/--pu-probs: two outputs name the same file")
     try:
+        for path in outputs:
+            # A stat of "parent/" fails as creating the output there would, unless parent is a directory.
+            try:
+                os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror}") from None
         _commit(args.func(args))
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,9 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO
 
+# Instructions per pool when generate_zipf_corpus draws from clusters.
+CLUSTER_SIZE = 10
+
 # Names that passed _check_token, which depends on the name alone: checked once per process.
 _VALID_NAMES: set[str] = set()
 
@@ -179,7 +182,7 @@ def generate_zipf_corpus(
     size_distribution: SizeSpec | str,
     seed: int,
     clusters: int = 0,
-    cluster_size: int = 10,
+    cluster_size: int = CLUSTER_SIZE,
 ) -> Corpus:
     """Generate a synthetic corpus with Zipf-distributed instruction draws.
 

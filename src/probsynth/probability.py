@@ -37,11 +37,6 @@ LOG10_SLACK = 1e-9
 GLOBAL_SCOPE = "global"
 
 
-def subset_scope(subset_id: int) -> str:
-    """Scope label for a per-subset table ("is:3")."""
-    return f"is:{subset_id}"
-
-
 def fmt12(value: float) -> str:
     """Fixed 12-significant-digit rendering for reproducible CSV diffs."""
     return format(value, ".12g")
@@ -99,11 +94,11 @@ def global_instruction_probs(corpus: Corpus) -> ProbabilityTable:
 
 def subset_instruction_probs(corpus: Corpus, subset: InstructionSubset) -> ProbabilityTable:
     """Instruction probabilities over the units covered by one subset, of
-    every size (the paper's per-IS formulation)."""
+    every size (the paper's per-IS formulation), labelled "is:<subset id>"."""
     counts: Counter = Counter()
     for unit_id in subset.covered_units:
         counts.update(corpus.unit_by_id[unit_id].instructions)
-    return table_from_counts(subset_scope(subset.id), counts)
+    return table_from_counts(f"is:{subset.id}", counts)
 
 
 def solution_probability(table: ProbabilityTable, instructions: Iterable[str]) -> float:
@@ -144,35 +139,30 @@ class Scope:
         return replace(self, thresholds={}, support_counts={})
 
 
+def size_minima(pairs: Iterable[tuple[int, float]]) -> tuple[dict[int, float], dict[int, int]]:
+    """The least log10 probability at each size among ``(size, log10
+    probability)`` pairs, and how many pairs it ranged over: a scope's
+    ``thresholds`` and ``support_counts``, both in ascending size order."""
+    minima: dict[int, float] = {}
+    support: dict[int, int] = {}
+    for size, log_prob in pairs:
+        if size not in minima or log_prob < minima[size]:
+            minima[size] = log_prob
+        support[size] = support.get(size, 0) + 1
+    ordered = sorted(minima)
+    return {s: minima[s] for s in ordered}, {s: support[s] for s in ordered}
+
+
 def _scope(
     corpus: Corpus, subset_id: int | None, table: ProbabilityTable, scope_units: Iterable[str], max_size: int
 ) -> Scope:
     """The scope over those of ``scope_units`` with at most ``max_size``
     instructions, their log10 solution probabilities and per-size minima."""
-    unit_ids = []
-    log_probs = array("d")
-    minima: dict[int, float] = {}
-    support: dict[int, int] = {}
-    for unit_id in scope_units:
-        unit = corpus.unit_by_id[unit_id]
-        if unit.size > max_size:
-            continue
-        log_prob = solution_probability(table, unit.instructions)
-        unit_ids.append(unit_id)
-        log_probs.append(log_prob)
-        size = unit.size
-        if size not in minima or log_prob < minima[size]:
-            minima[size] = log_prob
-        support[size] = support.get(size, 0) + 1
-    ordered = sorted(minima)
-    return Scope(
-        subset_id,
-        table,
-        tuple(unit_ids),
-        log_probs,
-        thresholds={s: minima[s] for s in ordered},
-        support_counts={s: support[s] for s in ordered},
-    )
+    units = [corpus.unit_by_id[unit_id] for unit_id in scope_units]
+    units = [unit for unit in units if unit.size <= max_size]
+    log_probs = array("d", (solution_probability(table, unit.instructions) for unit in units))
+    thresholds, support_counts = size_minima(zip((unit.size for unit in units), log_probs))
+    return Scope(subset_id, table, tuple(unit.id for unit in units), log_probs, thresholds, support_counts)
 
 
 def derive_thresholds(
@@ -193,10 +183,12 @@ def derive_thresholds(
     return _scope(corpus, None, table, scope_units, max_size)
 
 
-def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_size: int) -> list[Scope]:
-    """The global scope, the family's subset scopes in family order, or both
-    (``which`` = "global", "subsets" or "both"), with thresholds for sizes
-    up to ``max_size``."""
+def scope_sources(
+    corpus: Corpus, family: SubsetFamily | None, which: str
+) -> list[tuple[int | None, ProbabilityTable, Sequence[str]]]:
+    """The ``(subset_id, table, unit_ids)`` of the global scope, the family's
+    subset scopes in family order, or both (``which`` = "global", "subsets"
+    or "both"): each scope's table and all of its units."""
     if which not in (GLOBAL_SCOPE, "subsets", "both"):
         raise ValueError(f"unknown scope selection {which!r}")
     sources = []
@@ -204,4 +196,10 @@ def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_si
         sources.append((None, global_instruction_probs(corpus), [u.id for u in corpus.units]))
     if which in ("subsets", "both"):
         sources.extend((s.id, subset_instruction_probs(corpus, s), s.covered_units) for s in family.subsets)
-    return [_scope(corpus, subset_id, table, unit_ids, max_size) for subset_id, table, unit_ids in sources]
+    return sources
+
+
+def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_size: int) -> list[Scope]:
+    """The scopes ``scope_sources`` selects, with thresholds for sizes up to
+    ``max_size``."""
+    return [_scope(corpus, *source, max_size) for source in scope_sources(corpus, family, which)]

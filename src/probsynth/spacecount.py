@@ -197,15 +197,6 @@ def count_admissible(table: ProbabilityTable, size: int, threshold: float) -> in
     return counter.count(size, threshold)
 
 
-def baseline_size(is_cap: int, size: int) -> int:
-    """Unpruned sequence count over a cap-sized subset alphabet: cap ** size."""
-    if is_cap < 1:
-        raise ValueError(f"is_cap must be >= 1, got {is_cap}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    return is_cap**size
-
-
 @dataclass(frozen=True)
 class SpaceMeasurement:
     """Admissible-space size and reduction against the baseline for one size."""
@@ -229,6 +220,8 @@ def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasur
     probability of one of the scope's own units, but a scope given other
     thresholds (``dataclasses.replace(scope, thresholds=...)``) can.
     """
+    if is_cap < 1:
+        raise ValueError(f"is_cap must be >= 1, got {is_cap}")
     table, thresholds = scope.table, scope.thresholds
     sizes = list(sizes)
     counted = [size for size in sizes if size in thresholds]
@@ -241,7 +234,7 @@ def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasur
                 continue
             threshold = thresholds[size]
             admissible = count_admissible(table, size, threshold)
-            baseline = baseline_size(is_cap, size)
+            baseline = is_cap**size
             if admissible == 0:
                 reduction = math.inf
             else:

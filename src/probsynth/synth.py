@@ -77,40 +77,40 @@ def _bounded(n: int):
     return (n,) if -INT_LIMIT < n < INT_LIMIT else _OVERFLOW
 
 
-# name -> (input arity, output arity, implementation). Each implementation
+# name -> (input arity, implementation). Each implementation
 # checks its argument types (exact int or list) first, then returns the
 # values it pushes or a shared Fault.
 _OPS = {
-    "push0": (0, 1, lambda: (0,)),
-    "push1": (0, 1, lambda: (1,)),
-    "push2": (0, 1, lambda: (2,)),
-    "push3": (0, 1, lambda: (3,)),
-    "add": (2, 1, lambda x, y: _bounded(x + y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
-    "dup": (1, 2, lambda x: (x, x)),
-    "sub": (2, 1, lambda x, y: _bounded(x - y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
-    "mul": (2, 1, lambda x, y: _bounded(x * y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
-    "swap": (2, 2, lambda x, y: (y, x)),
-    "inc": (1, 1, lambda x: _bounded(x + 1) if type(x) is int else _TYPE_MISMATCH),
-    "drop": (1, 0, lambda x: ()),
-    "dec": (1, 1, lambda x: _bounded(x - 1) if type(x) is int else _TYPE_MISMATCH),
-    "neg": (1, 1, lambda x: _bounded(-x) if type(x) is int else _TYPE_MISMATCH),
-    "length": (1, 1, lambda v: (len(v),) if type(v) is list else _TYPE_MISMATCH),
-    "sum": (1, 1, lambda v: _bounded(sum(v)) if type(v) is list else _TYPE_MISMATCH),
-    "head": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[0],) if v else _EMPTY_LIST),
-    "tail": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[1:],) if v else _EMPTY_LIST),
-    "reverse": (1, 1, lambda v: (v[::-1],) if type(v) is list else _TYPE_MISMATCH),
-    "sort": (1, 1, lambda v: (sorted(v),) if type(v) is list else _TYPE_MISMATCH),
-    "concat": (2, 1, lambda x, y: (
+    "push0": (0, lambda: (0,)),
+    "push1": (0, lambda: (1,)),
+    "push2": (0, lambda: (2,)),
+    "push3": (0, lambda: (3,)),
+    "add": (2, lambda x, y: _bounded(x + y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
+    "dup": (1, lambda x: (x, x)),
+    "sub": (2, lambda x, y: _bounded(x - y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
+    "mul": (2, lambda x, y: _bounded(x * y) if type(x) is int and type(y) is int else _TYPE_MISMATCH),
+    "swap": (2, lambda x, y: (y, x)),
+    "inc": (1, lambda x: _bounded(x + 1) if type(x) is int else _TYPE_MISMATCH),
+    "drop": (1, lambda x: ()),
+    "dec": (1, lambda x: _bounded(x - 1) if type(x) is int else _TYPE_MISMATCH),
+    "neg": (1, lambda x: _bounded(-x) if type(x) is int else _TYPE_MISMATCH),
+    "length": (1, lambda v: (len(v),) if type(v) is list else _TYPE_MISMATCH),
+    "sum": (1, lambda v: _bounded(sum(v)) if type(v) is list else _TYPE_MISMATCH),
+    "head": (1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[0],) if v else _EMPTY_LIST),
+    "tail": (1, lambda v: _TYPE_MISMATCH if type(v) is not list else (v[1:],) if v else _EMPTY_LIST),
+    "reverse": (1, lambda v: (v[::-1],) if type(v) is list else _TYPE_MISMATCH),
+    "sort": (1, lambda v: (sorted(v),) if type(v) is list else _TYPE_MISMATCH),
+    "concat": (2, lambda x, y: (
         _TYPE_MISMATCH if type(x) is not list or type(y) is not list
         else (x + y,) if len(x) + len(y) <= LIST_LIMIT else _OVERFLOW
     )),
-    "maximum": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (max(v),) if v else _EMPTY_LIST),
-    "minimum": (1, 1, lambda v: _TYPE_MISMATCH if type(v) is not list else (min(v),) if v else _EMPTY_LIST),
-    "map_inc": (1, 1, lambda v: (
+    "maximum": (1, lambda v: _TYPE_MISMATCH if type(v) is not list else (max(v),) if v else _EMPTY_LIST),
+    "minimum": (1, lambda v: _TYPE_MISMATCH if type(v) is not list else (min(v),) if v else _EMPTY_LIST),
+    "map_inc": (1, lambda v: (
         _TYPE_MISMATCH if type(v) is not list
         else _OVERFLOW if any(abs(e) + 1 >= INT_LIMIT for e in v) else ([e + 1 for e in v],)
     )),
-    "filter_pos": (1, 1, lambda v: ([e for e in v if e > 0],) if type(v) is list else _TYPE_MISMATCH),
+    "filter_pos": (1, lambda v: ([e for e in v if e > 0],) if type(v) is list else _TYPE_MISMATCH),
 }
 
 # Canonical alphabet order doubles as the rank order for synthetic corpora.
@@ -120,7 +120,7 @@ DSL_ALPHABET = tuple(_OPS)
 def _step(stack: list, instruction: str):
     """Apply one instruction to the stack in place; return a Fault or None."""
     try:
-        in_arity, _, fn = _OPS[instruction]
+        in_arity, fn = _OPS[instruction]
     except KeyError:
         raise ValueError(f"unknown DSL instruction {instruction!r}") from None
     if len(stack) < in_arity:
@@ -238,7 +238,7 @@ class _SubsetSearch:
         if unknown is not None:
             raise ValueError(f"unknown DSL instruction {unknown!r}")
         # (instruction, log-prob, input arity, implementation) in search order
-        self.steps = [(instr, logp, _OPS[instr][0], _OPS[instr][2]) for instr, logp in ordered]
+        self.steps = [(instr, logp, *_OPS[instr]) for instr, logp in ordered]
         min_log = ordered[-1][1]
         self.floors = [s * min_log for s in range(max_size + 1)]
         self.bases = [0.0] + [scope.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)]

@@ -11,13 +11,12 @@ probability is computed once per call and shared by every split.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Corpus
-from .probability import GLOBAL_SCOPE, LOG10_SLACK, build_scopes
+from .probability import GLOBAL_SCOPE, LOG10_SLACK, build_scopes, size_minima
 
 
 def _split_indices(n: int, fraction: float, seed: int) -> set[int]:
@@ -45,11 +44,7 @@ def _split_result(
 ) -> ValidationResult:
     """Thresholds from the training positions, coverage of the others.
     ``log_probs`` holds None for units above ``max_size``."""
-    minima: dict[int, float] = {}
-    for i in train:
-        log_prob, size = log_probs[i], sizes[i]
-        if log_prob is not None and log_prob < minima.get(size, math.inf):
-            minima[size] = log_prob
+    minima, _ = size_minima((sizes[i], log_probs[i]) for i in train if log_probs[i] is not None)
     hits = dict.fromkeys(minima, 0)
     totals = dict.fromkeys(minima, 0)
     for i, size in enumerate(sizes):
@@ -58,11 +53,10 @@ def _split_result(
         totals[size] += 1
         if log_probs[i] >= minima[size] - LOG10_SLACK:
             hits[size] += 1
-    ordered = sorted(minima)
     return ValidationResult(
         training_fraction=fraction,
-        per_size_coverage={s: (100.0 * hits[s] / totals[s]) if totals[s] else 100.0 for s in ordered},
-        per_size_test_counts={s: totals[s] for s in ordered},
+        per_size_coverage={s: (100.0 * hits[s] / totals[s]) if totals[s] else 100.0 for s in minima},
+        per_size_test_counts=totals,
     )
 
 

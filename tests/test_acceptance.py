@@ -20,7 +20,6 @@ import pytest
 
 from probsynth import (
     DSL_ALPHABET,
-    baseline_size,
     build_scopes,
     cli,
     cluster_subsets,
@@ -125,7 +124,7 @@ class TestCriterion4ThresholdExtremes:
                 below = size * table.min_log10 - 1e-6
                 at_min = size * table.min_log10
                 assert count_admissible(table, size, above) == 0
-                full = baseline_size(len(table.log10_probs), size)
+                full = len(table.log10_probs) ** size
                 assert count_admissible(table, size, below) == full
                 assert count_admissible(table, size, at_min) == full
                 checked += 1

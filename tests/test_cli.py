@@ -149,16 +149,15 @@ class TestExitCodes:
         [
             ["--units", "0"],
             ["--units", "10", "--alphabet", "0"],
-            ["--units", "10", "--clusters", "2", "--cluster-size", "0"],
             ["--units", "10", "--clusters", "-1"],
             ["--units", "10", "--exponent", "nan"],
             ["--units", "10", "--sizes", "0..3"],
             ["--units", "10", "--sizes", "0..3", "--dsl-programs"],
-            ["--units", "10", "--clusters", "2", "--cluster-size", "20", "--alphabet", "10"],
+            ["--units", "10", "--clusters", "2", "--alphabet", "9"],
         ],
         ids=[
-            "units-0", "alphabet-0", "cluster-size-0", "clusters-negative", "exponent-nan",
-            "sizes-from-0", "dsl-sizes-from-0", "cluster-size-above-alphabet",
+            "units-0", "alphabet-0", "clusters-negative", "exponent-nan",
+            "sizes-from-0", "dsl-sizes-from-0", "alphabet-below-pool",
         ],
     )
     def test_gen_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
@@ -391,6 +390,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "spec.json"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["measure", "--sizes", "21..30", "-o", "{missing}"],
+            ["thresholds", "--pu-probs", "{missing}", "-o", "{out}"],
+        ],
+        ids=["measure", "thresholds-pu-probs"],
+    )
+    def test_output_in_missing_directory_fails_before_input_is_read(self, tmp_path, capsys, args):
+        # The corpus does not exist either: the diagnostic names the output.
+        missing = tmp_path / "nodir" / "x"
+        argv = [a.format(missing=missing, out=tmp_path / "out.csv") for a in args]
+        assert run(argv + ["-i", str(tmp_path / "nope.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+        assert not list(tmp_path.iterdir())
+
     def test_output_that_is_a_directory_writes_nothing(self, tmp_path, capsys):
         corpus_path = write_corpus_lines(tmp_path / "c.jsonl", ['{"id":"u1","instructions":["a"]}'])
         (tmp_path / "adir").mkdir()
@@ -448,7 +463,7 @@ class TestReportCommands:
         family_path = tmp_path / "f.jsonl"
         run([
             "gen", "--units", "400", "--alphabet", "30", "--sizes", "1..10",
-            "--seed", "2", "--clusters", "6", "--cluster-size", "8", "-o", str(corpus_path),
+            "--seed", "2", "--clusters", "6", "-o", str(corpus_path),
         ])
         run(["cluster", "--cap", "10", "-i", str(corpus_path), "-o", str(family_path)])
         return tmp_path, str(corpus_path), str(family_path)

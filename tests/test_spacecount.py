@@ -18,7 +18,6 @@ from probsynth import (
     LOG10_SLACK,
     Corpus,
     ProgramUnit,
-    baseline_size,
     build_scopes,
     cli,
     count_admissible,
@@ -288,12 +287,12 @@ class TestCountingProperties:
         above = size * table.max_log10 + 0.1
         below = size * table.min_log10 - 0.1
         assert count_admissible(table, size, above) == 0
-        assert count_admissible(table, size, below) == baseline_size(3, size)
+        assert count_admissible(table, size, below) == 3**size
 
     def test_threshold_at_exact_minimum_keeps_everything(self):
         table = table_from_counts("global", {"a": 5, "b": 3, "c": 2})
         at_min = 12 * table.min_log10
-        assert count_admissible(table, 12, at_min) == baseline_size(3, 12)
+        assert count_admissible(table, 12, at_min) == 3**12
 
     def test_corpus_units_are_admissible_at_their_size(self):
         units = tuple(
@@ -307,15 +306,19 @@ class TestCountingProperties:
 
 
 class TestBaseline:
+    # measure's baseline is is_cap ** size, whatever the scope admits.
+    SCOPE = build_scopes(Corpus(units=(ProgramUnit("u1", ("a", "b")),)), None, "global", 2)[0]
+
     @pytest.mark.parametrize("cap,size,expected", [(10, 3, 1000), (10, 40, 10**40), (1, 7, 1)])
     def test_exact_powers(self, cap, size, expected):
-        assert baseline_size(cap, size) == expected
+        [m] = measure(dataclasses.replace(self.SCOPE, thresholds={size: 0.0}), [size], is_cap=cap)
+        assert m.baseline_count == expected
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            baseline_size(0, 3)
-        with pytest.raises(ValueError):
-            baseline_size(2, 0)
+        with pytest.raises(ValueError, match="is_cap must be >= 1"):
+            measure(self.SCOPE, [2], is_cap=0)
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            measure(dataclasses.replace(self.SCOPE, thresholds={0: 0.0}), [0], is_cap=2)
 
 
 class TestMeasure:
