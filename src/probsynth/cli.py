@@ -156,11 +156,11 @@ def cmd_gen(args) -> _Outputs:
     else:
         corpus = generate_zipf_corpus(
             num_units=args.units,
-            alphabet_size=args.alphabet,
+            alphabet_size=100 if args.alphabet is None else args.alphabet,
             zipf_exponent=args.exponent,
             size_distribution=args.sizes,
             seed=args.seed,
-            clusters=args.clusters,
+            clusters=args.clusters or 0,
         )
     return [(args.output, partial(save_corpus, corpus))]
 
@@ -278,11 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--units", type=_positive_int, required=True, help="number of program units")
-    p.add_argument("--alphabet", type=_positive_int, default=100, help="alphabet size (ranked)")
+    p.add_argument("--alphabet", type=_positive_int, help="alphabet size (ranked, default 100)")
     p.add_argument("--exponent", type=_positive_float, default=1.0, help="Zipf exponent (> 0)")
     p.add_argument("--sizes", type=_size_spec, default="1..40", help="unit size range A..B (default 1..40)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--clusters", type=_non_negative_int, default=0, help="overlapping instruction pools (0 = none)")
+    p.add_argument("--clusters", type=_non_negative_int, help="overlapping instruction pools (default 0 = none)")
     p.add_argument(
         "--dsl-programs",
         action="store_true",
@@ -351,8 +351,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _configure_logging()
-    if args.command == "gen" and not args.dsl_programs and args.clusters > 0 and args.alphabet < CLUSTER_SIZE:
-        parser.error(f"argument --alphabet: must be >= {CLUSTER_SIZE} when --clusters is above 0, got {args.alphabet}")
+    if args.command == "gen":
+        # The DSL generator has its own 24 instructions and no pools.
+        for name in ("alphabet", "clusters"):
+            if args.dsl_programs and getattr(args, name) is not None:
+                parser.error(f"argument --{name}: not allowed with argument --dsl-programs")
+        if args.clusters and args.alphabet is not None and args.alphabet < CLUSTER_SIZE:
+            parser.error(f"argument --alphabet: must be >= {CLUSTER_SIZE} when --clusters is above 0, got {args.alphabet}")
     scope = getattr(args, "scope", None)
     if scope == "auto":
         args.scope = "both" if args.family else "global"

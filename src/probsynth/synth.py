@@ -19,7 +19,10 @@ down to the minimum possible probability per size (its floor). A size
 with no threshold sits at its floor from the start, so scopes without
 thresholds search the whole subset space in one round. A round tests only
 the candidates its thresholds newly admit: those the round before admitted
-are known to fail, as it found no solution.
+are known to fail, as it found no solution. It resumes from the frontier
+the round before left (its cuts, its prefixes below their test bound, and
+those among them whose subtrees it skipped), so it visits only the nodes
+that lead to something new, as fringe search does for iterative deepening.
 
 Children are generated in descending log-probability, and adding a fixed
 log-probability to each keeps that order (float addition is monotone), so
@@ -44,7 +47,10 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -57,6 +63,11 @@ LIST_LIMIT = 1024
 
 # How far each widening round lowers every threshold, in log10.
 WIDENING_STEP_LOG10 = -2.0
+
+# Frontier tags: the first child a round did not generate (an interior or
+# leaf cut); a prefix whose own candidate was below its test bound; such a
+# prefix whose subtree the dominance rule skipped.
+_CUT, _UNTESTED, _SKIPPED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,8 @@ def load_test_spec(path: str | Path) -> TestCaseSpec:
 @dataclass
 class SearchReport:
     """Outcome and node accounting for one synthesis run. The node counters
-    count each round's whole tree, candidates an earlier round tested included."""
+    sum, over rounds, the nodes each round visits: a later round visits only
+    the nodes that lead to candidates its thresholds newly admit."""
 
     solution: tuple[str, ...] | None
     nodes_expanded: int
@@ -229,7 +241,8 @@ class SearchReport:
 
 
 class _SubsetSearch:
-    """Per-scope search state: the step table in extension order, threshold bases."""
+    """Per-scope search state: the step table in extension order, threshold
+    bases, and the frontier the last round searched here left."""
 
     def __init__(self, scope: Scope, max_size: int):
         self.subset_id = scope.subset_id
@@ -242,8 +255,17 @@ class _SubsetSearch:
         min_log = ordered[-1][1]
         self.floors = [s * min_log for s in range(max_size + 1)]
         self.bases = [0.0] + [scope.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)]
-        # The active thresholds of the last round searched here, which failed.
-        self.tested = [float("inf")] * (max_size + 1)
+        # A prefix's key reads its step indices + 1 as mixed-radix digits
+        # (radix width + 1), padded with zeros to max_size digits: sorted
+        # keys are depth-first order and a subtree is one key range.
+        # units[L] is the key distance between siblings of length L.
+        radix = len(self.steps) + 1
+        self.units = [radix ** (max_size - length) for length in range(max_size + 1)]
+        self.new_keys = partial(array, "q") if self.units[0] < 2**63 else list
+        # The frontier of the last round searched here, as sorted keys and
+        # their tags (_CUT, _UNTESTED, _SKIPPED). Before round 1 it is the
+        # cut at the root's first child: every node is new.
+        self.frontier = (self.new_keys([self.units[1]]), array("b", [_CUT]))
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
         """Per-size active thresholds, suffix minima, and an all-at-floor flag."""
@@ -265,7 +287,8 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     solution probability at that size); a round with every threshold at
     its floor is the last, and an exhausted schedule yields an empty
     report. A round follows one that found no solution, so it tests only the
-    candidates its thresholds newly admit, but counts its whole tree.
+    candidates its thresholds newly admit, and visits and counts only the
+    nodes on the way to them, resuming from the last round's frontier.
     Scopes without thresholds (``Scope.without_thresholds``) start
     at their floors, so one round tests every program over each scope's
     instructions: the baseline for measuring what the thresholds save.
@@ -304,7 +327,6 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
             if solution is not None:
                 solved_subset = search.subset_id
                 break
-            search.tested = active
         if all_floored:
             break
 
@@ -329,16 +351,24 @@ def _dfs_subset(
 ) -> tuple[str, ...] | None:
     steps = search.steps
     width = len(steps)
+    units = search.units
     expected = [case.expected for case in spec.cases]
     # Per length: the test bound, and the cut bound. At max_size the two
     # agree: tail_min[max_size] is active[max_size].
     admit = [a - LOG10_SLACK for a in active]
     cut = [t - LOG10_SLACK for t in tail_min]
     leaf_bound = admit[max_size]
-    # Per length: the test bound of the last round here. The cut and the
-    # dominance rule are exact, so every candidate it admitted failed.
-    known = [t - LOG10_SLACK for t in search.tested]
-    leaf_known = known[max_size]
+
+    # The last round's frontier, read in order, and this round's, written
+    # in order. A prefix that neither holds nor leads to a frontier entry
+    # has nothing new below it: its candidates were all tested or skipped.
+    # The cut and the dominance rule are exact, so every candidate an
+    # earlier round tested failed.
+    old_keys, old_tags = search.frontier
+    old_count = len(old_keys)
+    pos = 0
+    keys, tags = search.new_keys(), array("b")
+    add_key, add_tag = keys.append, tags.append
 
     # Per length: repr(states) -> best log-probability of a prefix that
     # left them. Kept up to max_size - 2, where a skipped subtree still
@@ -346,19 +376,20 @@ def _dfs_subset(
     # but the largest size-6 search holds 11,769 keys instead of 2,186.
     seen = {length: {} for length in range(1, max_size - 1)}
 
-    def leaf(prefix: list[str], logp: float, states: list) -> tuple[str, ...] | None:
+    def leaf(prefix: list[str], key: int, logp: float, states: list, start: int) -> tuple[str, ...] | None:
         # Children at max_size are never extended: test each admissible
-        # one not tested in an earlier round case by case, stopping at the
-        # first case it fails, and keep no states. Steps run in descending
-        # log-probability, so the first child below the bound ends the level.
-        for i, (instruction, step_logp, arity, fn) in enumerate(steps):
+        # one from the last round's leaf cut on case by case, stopping at
+        # the first case it fails, and keep no states. Steps run in
+        # descending log-probability, so the first child below the bound
+        # ends the level.
+        for i, (instruction, step_logp, arity, fn) in enumerate(steps[start:] if start else steps, start):
             child_logp = logp + step_logp
             if child_logp < leaf_bound:
-                counters["expanded"] += i
+                counters["expanded"] += i - start
                 counters["pruned"] += width - i
+                add_key(key + i + 1)
+                add_tag(_CUT)
                 return None
-            if child_logp >= leaf_known:
-                continue
             for state, exp in zip(states, expected):
                 if state is None or len(state) < arity:
                     break
@@ -376,18 +407,47 @@ def _dfs_subset(
                 if not _values_equal(top, exp):
                     break
             else:
-                counters["expanded"] += i + 1
+                counters["expanded"] += i + 1 - start
                 return tuple(prefix + [instruction])
-        counters["expanded"] += width
+        counters["expanded"] += width - start
         return None
 
-    def rec(prefix: list[str], logp: float, states: list) -> tuple[str, ...] | None:
+    def rec(prefix: list[str], key: int, logp: float, states: list, fresh: bool) -> tuple[str, ...] | None:
+        # A fresh prefix lies at or below a cut of the last round, so its
+        # whole subtree is new. Otherwise only the children that hold or
+        # lead to a frontier entry are visited, and the children from the
+        # frontier's cut here on, if any, are fresh.
+        nonlocal pos
         length = len(prefix) + 1
         if length == max_size:
-            return leaf(prefix, logp, states)
+            if fresh:
+                return leaf(prefix, key, logp, states, 0)
+            # The only entry left below a leaf parent is its leaf cut.
+            if pos == old_count or old_keys[pos] >= key + units[length - 1]:
+                return None
+            start = old_keys[pos] - key - 1
+            pos += 1
+            return leaf(prefix, key, logp, states, start)
+        unit = units[length]
+        end = key + units[length - 1]
         level = seen.get(length)
         bound = cut[length]
+        child_key = key
+        # The child's frontier tag: _CUT for a fresh child, None for one
+        # whose own candidate an earlier round tested.
+        tag = _CUT if fresh else None
         for i, (instruction, step_logp, arity, fn) in enumerate(steps):
+            child_key += unit
+            if not fresh:
+                if pos == old_count or old_keys[pos] >= end:
+                    return None
+                if old_keys[pos] >= child_key + unit:
+                    continue
+                tag = None
+                if old_keys[pos] == child_key:
+                    tag = old_tags[pos]
+                    fresh = tag == _CUT
+                    pos += 1
             child_logp = logp + step_logp
             # Admissible cut: below every threshold this partial could
             # still reach, no completion can be admitted this round. Any
@@ -396,6 +456,8 @@ def _dfs_subset(
             # Later steps have no higher log-probability, so they fall too.
             if child_logp < bound:
                 counters["pruned"] += width - i
+                add_key(child_key)
+                add_tag(_CUT)
                 return None
             counters["expanded"] += 1
             child_states = []
@@ -412,33 +474,52 @@ def _dfs_subset(
                         alive = True
                         continue
                 child_states.append(None)
-            if known[length] > child_logp >= admit[length]:
+            below = child_logp < admit[length]
+            if tag is not None and not below:
                 solved = all(
                     state is not None and state and _values_equal(state[-1], exp)
                     for state, exp in zip(child_states, expected)
                 )
                 if solved:
                     return tuple(prefix + [instruction])
-            if alive:
-                if level is not None:
-                    # Dominance: an earlier prefix of this length left the
-                    # same states at a log-probability at least as high, so
-                    # it already searched a twin of every completion here.
-                    key = repr(child_states)
-                    best = level.get(key)
-                    if best is not None and best >= child_logp:
-                        counters["deduped"] += 1
-                        continue
-                    level[key] = child_logp
-                prefix.append(instruction)
-                found = rec(prefix, child_logp, child_states)
-                prefix.pop()
-                if found is not None:
-                    return found
+            if not alive:
+                continue
+            skipped = tag == _SKIPPED
+            if level is not None and not skipped:
+                # Dominance: an earlier prefix of this length left the
+                # same states at a log-probability at least as high, so
+                # it already searched a twin of every completion here.
+                state_key = repr(child_states)
+                best = level.get(state_key)
+                skipped = best is not None and best >= child_logp
+                if not skipped:
+                    level[state_key] = child_logp
+            if skipped:
+                # A skipped subtree stays skipped: a later round's earlier
+                # prefixes include this round's, in the same order, so the
+                # best log-probability it is compared with can only grow.
+                counters["deduped"] += 1
+                if below:
+                    add_key(child_key)
+                    add_tag(_SKIPPED)
+                if not fresh:
+                    pos = bisect_left(old_keys, child_key + unit, pos)
+                continue
+            if below:
+                add_key(child_key)
+                add_tag(_UNTESTED)
+            prefix.append(instruction)
+            found = rec(prefix, child_key, child_logp, child_states, fresh)
+            prefix.pop()
+            if found is not None:
+                return found
         return None
 
     initial = [list(case.inputs) for case in spec.cases]
-    return rec([], 0.0, initial)
+    solution = rec([], 0, 0.0, initial, False)
+    if solution is None:
+        search.frontier = (keys, tags)
+    return solution
 
 
 def random_program_corpus(

@@ -154,10 +154,14 @@ class TestExitCodes:
             ["--units", "10", "--sizes", "0..3"],
             ["--units", "10", "--sizes", "0..3", "--dsl-programs"],
             ["--units", "10", "--clusters", "2", "--alphabet", "9"],
+            # DSL programs draw from the 24 DSL instructions, with no pools.
+            ["--units", "10", "--dsl-programs", "--alphabet", "100"],
+            ["--units", "10", "--dsl-programs", "--clusters", "0"],
         ],
         ids=[
             "units-0", "alphabet-0", "clusters-negative", "exponent-nan",
             "sizes-from-0", "dsl-sizes-from-0", "alphabet-below-pool",
+            "dsl-with-alphabet", "dsl-with-clusters",
         ],
     )
     def test_gen_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
