@@ -27,10 +27,22 @@ that lead to something new, as fringe search does for iterative deepening.
 Children are generated in descending log-probability, and adding a fixed
 log-probability to each keeps that order (float addition is monotone), so
 the first child below the cut ends its level: the rest are counted as cut
-without being looked at. A child of ``max_size`` instructions is never
-extended, so no stack state is kept for it: it is stepped only when it
-clears its size's threshold, one test case at a time, up to the first
-case it fails.
+without being looked at.
+
+A child's verdict depends only on its parent's stack in each case, so
+the search tests stacks rather than candidates. Per test case it keeps a
+memo from a stack's ``repr`` to its solve mask, whose bit i is set when
+step i leaves that case's expected output on top. A mask is computed
+once per ``synthesize`` call, however many prefixes and rounds reach its
+stack, and a candidate solves the spec when its bit is set in its
+parent's mask for every case. A child of ``max_size`` instructions is
+never extended, so no stack state is kept for it: its level is tested as
+one AND of its parent's masks over the children above the cut, stopped
+at the first case that zeroes it, and the parent is stepped one case at
+a time, only as far as that AND reaches. The memo grows with the
+distinct stacks met: on the benchmark's size-6 spec, its largest search,
+one scope holds at most 4,477 case-0 entries at seed 0 and 6,935 over
+seeds 0-9.
 
 Within one subset and round, a prefix whose stack states on every test
 case equal those of an earlier prefix of the same length, at no higher
@@ -49,6 +61,7 @@ import json
 import random
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -242,7 +255,8 @@ class SearchReport:
 
 class _SubsetSearch:
     """Per-scope search state: the step table in extension order, threshold
-    bases, and the frontier the last round searched here left."""
+    bases, the frontier the last round searched here left, and the solve
+    masks of the stacks met so far."""
 
     def __init__(self, scope: Scope, max_size: int):
         self.subset_id = scope.subset_id
@@ -266,6 +280,10 @@ class _SubsetSearch:
         # their tags (_CUT, _UNTESTED, _SKIPPED). Before round 1 it is the
         # cut at the root's first child: every node is new.
         self.frontier = (self.new_keys([self.units[1]]), array("b", [_CUT]))
+        # Per test case: repr(stack) -> the solve mask of that stack for
+        # the case's expected output (``_solve_mask``). A mask outlives
+        # its round, so no later round computes it again.
+        self.masks: dict[int, dict[str, int]] = defaultdict(dict)
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
         """Per-size active thresholds, suffix minima, and an all-at-floor flag."""
@@ -341,6 +359,43 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     )
 
 
+def _stepped(state: list | None, arity: int, fn) -> list | None:
+    """The stack after one step-table entry, or None if the stack is dead or
+    the step faults. _OPS functions never mutate their arguments, so the
+    new stack may share values with the old one."""
+    if state is None or len(state) < arity:
+        return None
+    result = fn(*state[-arity:]) if arity else fn()
+    if type(result) is Fault:
+        return None
+    new = state[:-arity] if arity else state[:]
+    new.extend(result)
+    return new
+
+
+def _solve_mask(steps: list, state: list, expected) -> int:
+    """The steps that leave ``expected`` on top of ``state``: bit i is set
+    when ``steps[i]`` does."""
+    mask = 0
+    depth = len(state)
+    for i, (_, _, arity, fn) in enumerate(steps):
+        if depth < arity:
+            continue
+        result = fn(*state[-arity:]) if arity else fn()
+        if type(result) is Fault:
+            continue
+        # The top of state[:-arity] + result, without copying the stack.
+        if result:
+            top = result[-1]
+        elif depth > arity:
+            top = state[-1 - arity]
+        else:
+            continue
+        if _values_equal(top, expected):
+            mask |= 1 << i
+    return mask
+
+
 def _dfs_subset(
     search: _SubsetSearch,
     spec: TestCaseSpec,
@@ -351,13 +406,16 @@ def _dfs_subset(
 ) -> tuple[str, ...] | None:
     steps = search.steps
     width = len(steps)
+    logps = [logp for _, logp, _, _ in steps]
     units = search.units
     expected = [case.expected for case in spec.cases]
+    masks = [search.masks[c] for c in range(len(expected))]
     # Per length: the test bound, and the cut bound. At max_size the two
     # agree: tail_min[max_size] is active[max_size].
     admit = [a - LOG10_SLACK for a in active]
     cut = [t - LOG10_SLACK for t in tail_min]
     leaf_bound = admit[max_size]
+    last = max_size - 1
 
     # The last round's frontier, read in order, and this round's, written
     # in order. A prefix that neither holds nor leads to a frontier entry
@@ -376,40 +434,59 @@ def _dfs_subset(
     # but the largest size-6 search holds 11,769 keys instead of 2,186.
     seen = {length: {} for length in range(1, max_size - 1)}
 
-    def leaf(prefix: list[str], key: int, logp: float, states: list, start: int) -> tuple[str, ...] | None:
-        # Children at max_size are never extended: test each admissible
-        # one from the last round's leaf cut on case by case, stopping at
-        # the first case it fails, and keep no states. Steps run in
-        # descending log-probability, so the first child below the bound
-        # ends the level.
-        for i, (instruction, step_logp, arity, fn) in enumerate(steps[start:] if start else steps, start):
-            child_logp = logp + step_logp
-            if child_logp < leaf_bound:
-                counters["expanded"] += i - start
-                counters["pruned"] += width - i
-                add_key(key + i + 1)
-                add_tag(_CUT)
-                return None
-            for state, exp in zip(states, expected):
-                if state is None or len(state) < arity:
-                    break
-                result = fn(*state[-arity:]) if arity else fn()
-                if type(result) is Fault:
-                    break
-                # The top of state[:-arity] + result, without copying the
-                # stack: building it costs synth-solve about 8% of wall_s.
-                if result:
-                    top = result[-1]
-                elif len(state) > arity:
-                    top = state[-1 - arity]
-                else:
-                    break
-                if not _values_equal(top, exp):
-                    break
-            else:
-                counters["expanded"] += i + 1 - start
-                return tuple(prefix + [instruction])
-        counters["expanded"] += width - start
+    def solve_mask(head, states: list, arity: int, fn) -> int:
+        # The steps that solve every case from a prefix's stacks: the AND
+        # of the cases' masks, read up to the first zero. Its stack in
+        # case 0 is head (None if dead); in case c it is step (arity, fn)
+        # applied to states[c], or states[c] itself with no step, and is
+        # made only if the AND reaches case c.
+        mask = -1
+        state = head
+        for c, memo in enumerate(masks):
+            if c:
+                state = _stepped(states[c], arity, fn) if fn else states[c]
+            if state is None:
+                return 0
+            state_key = repr(state)
+            case_mask = memo.get(state_key)
+            if case_mask is None:
+                case_mask = memo[state_key] = _solve_mask(steps, state, expected[c])
+            mask &= case_mask
+            if not mask:
+                return 0
+        return mask
+
+    def leaf(prefix: list[str], key: int, logp: float, fresh: bool, head, states: list, arity: int, fn) -> tuple[str, ...] | None:
+        # The children of a leaf parent, at max_size, are never extended
+        # and keep no states. Steps run in descending log-probability, so
+        # the children from the first one below the bound on are cut; the
+        # first admissible child in the AND of the leaf parent's masks is
+        # the solution. The leaf parent's stacks are those solve_mask
+        # reads from (head, states, arity, fn).
+        nonlocal pos
+        if fresh:
+            start = 0
+        elif pos == old_count or old_keys[pos] >= key + units[last]:
+            # The only entry left below a leaf parent is its leaf cut.
+            return None
+        else:
+            start = old_keys[pos] - key - 1
+            pos += 1
+        stop = start
+        while stop < width and logp + logps[stop] >= leaf_bound:
+            stop += 1
+        found = 0
+        if stop > start:
+            found = solve_mask(head, states, arity, fn) >> start & (1 << (stop - start)) - 1
+        if found:
+            i = start + (found & -found).bit_length() - 1
+            counters["expanded"] += i + 1 - start
+            return tuple(prefix + [steps[i][0]])
+        counters["expanded"] += stop - start
+        if stop < width:
+            counters["pruned"] += width - stop
+            add_key(key + stop + 1)
+            add_tag(_CUT)
         return None
 
     def rec(prefix: list[str], key: int, logp: float, states: list, fresh: bool) -> tuple[str, ...] | None:
@@ -419,20 +496,14 @@ def _dfs_subset(
         # frontier's cut here on, if any, are fresh.
         nonlocal pos
         length = len(prefix) + 1
-        if length == max_size:
-            if fresh:
-                return leaf(prefix, key, logp, states, 0)
-            # The only entry left below a leaf parent is its leaf cut.
-            if pos == old_count or old_keys[pos] >= key + units[length - 1]:
-                return None
-            start = old_keys[pos] - key - 1
-            pos += 1
-            return leaf(prefix, key, logp, states, start)
         unit = units[length]
         end = key + units[length - 1]
         level = seen.get(length)
         bound = cut[length]
         child_key = key
+        # The steps that solve every case from this prefix's states,
+        # computed when a child is first tested.
+        mask = None
         # The child's frontier tag: _CUT for a fresh child, None for one
         # whose own candidate an earlier round tested.
         tag = _CUT if fresh else None
@@ -460,29 +531,31 @@ def _dfs_subset(
                 add_tag(_CUT)
                 return None
             counters["expanded"] += 1
-            child_states = []
-            alive = False
-            # _OPS functions never mutate their arguments, so a child
-            # state may share values with its parent's.
-            for state in states:
-                if state is not None and len(state) >= arity:
-                    result = fn(*state[-arity:]) if arity else fn()
-                    if type(result) is not Fault:
-                        new = state[:-arity] if arity else state[:]
-                        new.extend(result)
-                        child_states.append(new)
-                        alive = True
-                        continue
-                child_states.append(None)
             below = child_logp < admit[length]
             if tag is not None and not below:
-                solved = all(
-                    state is not None and state and _values_equal(state[-1], exp)
-                    for state, exp in zip(child_states, expected)
-                )
-                if solved:
+                if mask is None:
+                    mask = solve_mask(states[0], states, 0, None)
+                if mask >> i & 1:
                     return tuple(prefix + [instruction])
-            if not alive:
+            if length == last:
+                # A leaf parent: dominance does not reach it and its own
+                # test read this prefix's mask, so it is stepped only up
+                # to its first live case, which is all `alive` needs;
+                # solve_mask steps the rest as far as the AND reaches.
+                head = _stepped(states[0], arity, fn)
+                if head is None and all(_stepped(state, arity, fn) is None for state in states[1:]):
+                    continue
+                if below:
+                    add_key(child_key)
+                    add_tag(_UNTESTED)
+                prefix.append(instruction)
+                found = leaf(prefix, child_key, child_logp, fresh, head, states, arity, fn)
+                prefix.pop()
+                if found is not None:
+                    return found
+                continue
+            child_states = [_stepped(state, arity, fn) for state in states]
+            if child_states.count(None) == len(child_states):  # dead in every case
                 continue
             skipped = tag == _SKIPPED
             if level is not None and not skipped:
@@ -516,7 +589,10 @@ def _dfs_subset(
         return None
 
     initial = [list(case.inputs) for case in spec.cases]
-    solution = rec([], 0, 0.0, initial, False)
+    if max_size == 1:
+        solution = leaf([], 0, 0.0, False, initial[0], initial, 0, None)
+    else:
+        solution = rec([], 0, 0.0, initial, False)
     if solution is None:
         search.frontier = (keys, tags)
     return solution

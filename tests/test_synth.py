@@ -533,9 +533,10 @@ class TestDominanceOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_widening_tests_each_candidate_once(self, planted_fixture, seed, monkeypatch):
-        # A round tests only the candidates its thresholds newly admit, so
-        # the whole schedule compares as many outputs as one sweep at the
-        # floors, though it walks each round's tree.
+        # A round tests only the candidates its thresholds newly admit,
+        # visiting only the nodes that lead to them, and a stack's solve
+        # mask serves every later round, so the whole schedule compares as
+        # many outputs as one sweep at the floors.
         calls = 0
 
         def counting(result, expected):
@@ -606,6 +607,50 @@ class TestDominanceOracle:
         spec = TestCaseSpec(cases=(TestCase(([3, 1, 2], 4), expected), TestCase(([3, 1, 2], -1), expected)))
         report = _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
         assert (report.solution is not None) == (expected == [3, 1, 2])
+
+
+class TestSolveMasks:
+    """A candidate's test reads its parent's solve masks: one per test case
+    and stack, computed once per synthesize call."""
+
+    @pytest.mark.parametrize("thresholds", [True, False])
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            (((3,), 4), ((3,), 5)),
+            # drop push1 leaves [1] in every case
+            (((4,), 2), ((9,), 0)),
+        ],
+        ids=["same-inputs", "drop-push1"],
+    )
+    def test_equal_stacks_expecting_different_outputs(self, dsl_scopes, cases, thresholds):
+        # The cases reach equal stacks but expect different outputs, so a
+        # mask read from another case's memo would admit a program that
+        # fails this one. No program of up to three instructions solves both.
+        spec = TestCaseSpec(cases=tuple(TestCase(inputs, expected) for inputs, expected in cases))
+        assert not any(satisfies(p, spec) for size in (1, 2, 3) for p in product(DSL_ALPHABET, repeat=size))
+        # Some scope can build drop push1, so the search meets [1] in both cases.
+        assert any({"drop", "push1"} <= set(scope.table.log10_probs) for scope in dsl_scopes)
+        report = synthesize(spec, _scopes(dsl_scopes, thresholds), 3)
+        assert report.solution is None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_floor_sweep_compares_each_stack_once(self, planted_fixture, seed, monkeypatch):
+        # A stack's mask is computed once per case, and a leaf parent's
+        # later cases only while the AND of masks is nonzero: one sweep at
+        # the floors made 9,972 and 13,961 comparisons at seeds 0 and 1,
+        # where testing each candidate on its own made 24,721.
+        calls = 0
+
+        def counting(result, expected):
+            nonlocal calls
+            calls += 1
+            return _values_equal(result, expected)
+
+        monkeypatch.setattr("probsynth.synth._values_equal", counting)
+        report = synthesize(_unsatisfiable_spec(seed), _scopes(planted_fixture[0], False), 4)
+        assert report.solution is None and report.rounds == 1
+        assert 0 < calls <= 0.6 * 24_721
 
 
 _SMALL_VALUES = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3))
