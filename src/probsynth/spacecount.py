@@ -11,11 +11,25 @@ The counter meets in the middle (Horowitz & Sahni, JACM 1974). The
 instructions are sorted by descending probability and split in two: the
 top ``h`` and the bottom ``b = k - h``.
 
-The bottom side is solved once, ahead of any threshold. For every total
-``r`` up to the largest size asked for, a table holds the log10
-probabilities of all bottom multisets of total ``r`` in ascending order,
-with the suffix sums of their weights ``r!/prod(m!)``. How many bottom
-completions clear a bound, weighted, is then one binary search.
+The bottom side is solved once per counter, for the limits it serves: one
+per size, ``threshold - LOG10_SLACK``. For every total ``r`` up to the
+largest of those sizes, a table holds in ascending order the log10
+probabilities of the bottom multisets of total ``r`` that a lookup can
+reach, with the suffix sums of their weights ``r!/prod(m!)``. How many
+bottom completions clear a bound, weighted, is then one binary search.
+
+The tables are cut as the paper cuts partial solutions. A lookup into table
+``r`` at size ``s`` asks for ``limit_s - logp``, where ``logp`` sums the
+top multiset's ``s - r`` logs, each at most the largest, ``logs[0]``. So it
+asks for at least ``limit_s - (s - r) * logs[0]``, and a bottom multiset of
+total ``r`` is kept only if its key reaches the floor ``Q_r``, the least of
+these over the served sizes ``s >= r``, less one more ``LOG10_SLACK`` for
+the rounding of either sum. No dropped entry is ever counted. The same
+test may drop a multiset while the tables are built: adding ``m`` copies of
+a bottom instruction lowers its key by at least ``-m * logs[0]``, and
+``Q_(r+m) >= Q_r + m * logs[0]``, so no multiset grown from a dropped one
+would have been kept either. A counter serves a size only at its own limit
+or above, and refuses to count below it.
 
 The top side is a depth-first branch and bound over multisets, walked with
 an explicit stack so that no alphabet size meets the recursion limit. A
@@ -35,12 +49,13 @@ search tests ``rest >= limit - partial`` where enumeration sums
 ``partial + rest``; the two roundings can part only for a candidate within
 a few ulps of the limit.)
 
-The split is worked out from the input: ``b`` is the largest bottom, at
-most ``k - 1``, whose tables (``C(max_size + b, b)`` entries over all
-totals) fit ``_TABLE_BUDGET`` entries, about 0.6 MB. With ``b = 0`` the
-counter is the plain branch and bound. ``measure`` builds the tables once
-per probability table, for its largest size, and every size it counts
-shares them.
+The split is worked out from the input by one rule. The bottom grows one
+instruction at a time, from the least probable up, to at most ``k - 1``,
+and stops before the step whose kept entries would pass
+``_TABLE_BUDGET``, about 0.6 MB. A step is counted, by one binary search
+per source table, before any entry is made. With ``b = 0`` the counter is
+the plain branch and bound. ``measure`` builds the tables once per scope,
+at its thresholds for every size it counts, and every size shares them.
 """
 
 from __future__ import annotations
@@ -59,76 +74,99 @@ from .probability import LOG10_SLACK, ProbabilityTable, Scope
 
 logger = logging.getLogger(__name__)
 
-# Most entries the bottom tables of one counter may hold, over all totals.
-# An entry is a float in an array and a suffix sum in a list, about 50
-# bytes, so the tables stay near 0.6 MB.
+# Most entries the bottom tables of one counter may keep, over all totals.
+# An entry is a float in an array and a weight in a list (a suffix sum
+# once built), about 50 bytes, so the tables stay near 0.6 MB.
 _TABLE_BUDGET = 12_000
 
 
-def _bottom_size(k: int, max_size: int) -> int:
-    """Largest bottom of at most k - 1 instructions whose tables fit the budget."""
-    b = 0
-    while b < k - 1 and math.comb(max_size + b + 1, b + 1) <= _TABLE_BUDGET:
-        b += 1
-    return b
-
-
-def _bottom_tables(logs: list[float], max_size: int) -> list[tuple[array, list[int]]]:
-    """Per total r = 0..max_size: the ascending log10 probabilities of the
-    multisets of total r over ``logs``, and the suffix sums of their weights.
-
-    Built one instruction at a time: the multisets of total r over the first
-    j + 1 instructions are those of total r - m over the first j, with m
-    copies of instruction j added.
+def _grow(keys: list[array], weights: list[list[int]], log: float, floors: list[float], budget: float) -> bool:
+    """Add an instruction of log10 probability ``log`` to the bottom, in place:
+    the multisets of total t are then those of total t - m with m copies of
+    it added, kept if their key reaches ``floors[t]``. Returns False, and
+    changes nothing, if the kept entries would pass ``budget``.
     """
-    keys: list[list[float]] = [[0.0]] + [[] for _ in range(max_size)]
-    weights: list[list[int]] = [[1]] + [[] for _ in range(max_size)]
-    for log in logs:
-        new_keys, new_weights = [], []
-        for r in range(max_size + 1):
-            out_keys: list[float] = []
-            out_weights: list[int] = []
-            for m in range(r + 1):
-                add = m * log
-                out_keys.extend([key + add for key in keys[r - m]])
-                c = math.comb(r, m)
-                out_weights.extend([w * c for w in weights[r - m]])
-            new_keys.append(out_keys)
-            new_weights.append(out_weights)
-        keys, weights = new_keys, new_weights
-    tables = []
-    for r_keys, r_weights in zip(keys, weights):
-        order = sorted(range(len(r_keys)), key=r_keys.__getitem__)
-        suffix = list(accumulate(r_weights[j] for j in reversed(order)))[::-1] + [0]
-        tables.append((array("d", [r_keys[j] for j in order]), suffix))
-    return tables
+    # Each table is ascending and so is every shifted copy of it, so the
+    # entries of total t - m kept at total t are a suffix: count them first.
+    starts = []
+    kept = 0
+    for t, floor in enumerate(floors):
+        row = [bisect_left(keys[t - m], floor - m * log) for m in range(t + 1)]
+        kept += sum(len(keys[t - m]) - i for m, i in enumerate(row))
+        if kept > budget:
+            return False
+        starts.append(row)
+    # From the largest total down, so that each total's old table is read
+    # by no later total once it is replaced.
+    for t in range(len(floors) - 1, -1, -1):
+        new_keys: list[float] = []
+        new_weights: list[int] = []
+        for m, i in enumerate(starts[t]):
+            add = m * log
+            c = math.comb(t, m)
+            new_keys += [key + add for key in keys[t - m][i:]]
+            new_weights += [w * c for w in weights[t - m][i:]]
+        order = sorted(range(len(new_keys)), key=new_keys.__getitem__)
+        keys[t] = array("d", [new_keys[j] for j in order])
+        weights[t] = [new_weights[j] for j in order]
+    return True
+
+
+def _bottom_tables(
+    logs: list[float], floors: list[float], bottom: int | None
+) -> tuple[int, list[tuple[array, list[int]]]]:
+    """The bottom size and, per total r, the ascending log10 probabilities
+    of the bottom multisets of total r that reach ``floors[r]``, with the
+    suffix sums of their weights ``r!/prod(m!)``.
+
+    The bottom grows from the least probable instruction up, one at a time,
+    to ``bottom`` instructions if given, and otherwise as far as it can
+    without passing ``_TABLE_BUDGET`` kept entries, and never to all ``k``.
+    """
+    k = len(logs)
+    keys = [array("d", [0.0])] + [array("d") for _ in floors[1:]]
+    weights: list[list[int]] = [[1]] + [[] for _ in floors[1:]]
+    most, budget = (k - 1, _TABLE_BUDGET) if bottom is None else (bottom, math.inf)
+    b = 0
+    while b < most and _grow(keys, weights, logs[k - 1 - b], floors, budget):
+        b += 1
+    for r, r_weights in enumerate(weights):
+        weights[r] = list(accumulate(reversed(r_weights)))[::-1] + [0]
+    return b, list(zip(keys, weights))
 
 
 class _Counter:
-    """Exact counts over one table for every size up to ``max_size``.
+    """Exact counts over one table at the limits it was built for.
 
-    ``bottom`` fixes the split; left at None it is worked out from the
-    input, and only tests set it.
+    ``limits`` maps each size it serves to its least limit, ``threshold -
+    LOG10_SLACK``; it counts a size at that limit or above. ``bottom``
+    fixes the split; left at None it is worked out from the input, and
+    only tests set it.
     """
 
-    def __init__(self, table: ProbabilityTable, max_size: int, bottom: int | None = None):
+    def __init__(self, table: ProbabilityTable, limits: dict[int, float], bottom: int | None = None):
         self.table = table
-        self.max_size = max_size
+        self.limits = limits
         self.logs = sorted(table.log10_probs.values(), reverse=True)
         # Ascending, so that the partners of a one-slot partial (the j with
         # logs[j] >= limit - logp) are a prefix of its range for bisect.
         self.neg = [-log for log in self.logs]
-        k = len(self.logs)
-        if bottom is None:
-            bottom = _bottom_size(k, max_size)
-        self.top = k - bottom
-        self.tables = _bottom_tables(self.logs[self.top :], max_size)
+        best = self.logs[0]
+        # The floors Q_r of the module docstring, one per total r.
+        floors = [
+            min([limit - (s - r) * best for s, limit in limits.items() if s >= r]) - LOG10_SLACK
+            for r in range(max(limits) + 1)
+        ]
+        b, self.tables = _bottom_tables(self.logs, floors, bottom)
+        self.top = len(self.logs) - b
 
-    def serves(self, table: ProbabilityTable, size: int) -> bool:
-        return table is self.table and size <= self.max_size
+    def serves(self, table: ProbabilityTable, size: int, threshold: float) -> bool:
+        return table is self.table and threshold - LOG10_SLACK >= self.limits.get(size, math.inf)
 
     def count(self, size: int, threshold: float) -> int:
         """Admissible candidates of exactly ``size`` instructions."""
+        if not self.serves(self.table, size, threshold):
+            raise ValueError(f"counter does not serve size {size} at threshold {threshold!r}")
         logs, neg, top, tables = self.logs, self.neg, self.top, self.tables
         k = len(logs)
         worst = logs[-1]
@@ -192,8 +230,8 @@ def count_admissible(table: ProbabilityTable, size: int, threshold: float) -> in
     if not table.log10_probs:
         raise ValueError("probability table is empty")
     counter = _shared_counter.get()
-    if counter is None or not counter.serves(table, size):
-        counter = _Counter(table, size)
+    if counter is None or not counter.serves(table, size, threshold):
+        counter = _Counter(table, {size: threshold - LOG10_SLACK})
     return counter.count(size, threshold)
 
 
@@ -224,8 +262,8 @@ def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasur
         raise ValueError(f"is_cap must be >= 1, got {is_cap}")
     table, thresholds = scope.table, scope.thresholds
     sizes = list(sizes)
-    counted = [size for size in sizes if size in thresholds]
-    counter = _Counter(table, max(counted)) if counted else None
+    limits = {size: thresholds[size] - LOG10_SLACK for size in sizes if size in thresholds}
+    counter = _Counter(table, limits) if limits else None
     out = []
     with _sharing(counter):
         for size in sizes:

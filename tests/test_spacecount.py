@@ -41,6 +41,11 @@ def random_table(rng, k):
     return table_from_counts("global", {f"x{i}": rng.randint(1, 50) for i in range(k)})
 
 
+def floor_at(size, threshold):
+    """The limits of a counter that serves one size, from one threshold up."""
+    return {size: threshold - LOG10_SLACK}
+
+
 class TestCountAdmissible:
     def test_uniform_all_admissible(self):
         assert count_admissible(UNIFORM2, 2, math.log10(0.25)) == 4
@@ -136,7 +141,7 @@ class TestSplitPoints:
         assert count_admissible(table, size, threshold) == expected
         k = len(table.log10_probs)
         for top in range(k + 1):
-            with _sharing(_Counter(table, size, bottom=k - top)):
+            with _sharing(_Counter(table, floor_at(size, threshold), bottom=k - top)):
                 assert count_admissible(table, size, threshold) == expected, top
 
     def test_large_alphabet_has_no_recursion_limit(self):
@@ -168,11 +173,11 @@ class TestSplitPoints:
         names = list(table.log10_probs)
         k = len(names)
         for size in [s for s in range(1, 5) if k**s <= 3000]:
-            counters = [_Counter(table, size, bottom=b) for b in range(k + 1)]
             for multiset in combinations_with_replacement(names, size):
                 logp = solution_probability(table, multiset)
                 for threshold in (logp, logp - LOG10_SLACK):
                     expected = brute_force_count(table, size, threshold)
+                    counters = [_Counter(table, floor_at(size, threshold), bottom=b) for b in range(k + 1)]
                     got = [counter.count(size, threshold) for counter in counters]
                     assert got == [expected] * (k + 1), (size, multiset, threshold)
 
@@ -190,13 +195,47 @@ class TestSplitPoints:
                 weight //= math.factorial(m)
             weighted.append((sum(logs[i] for i in combo), weight))
         probabilities = sorted(logp for logp, _ in weighted)
-        counters = [_Counter(table, size), _Counter(table, size, bottom=0)]
-        assert counters[0].top < len(logs)
         for q in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99):
             threshold = probabilities[int(q * len(probabilities))]
+            limits = floor_at(size, threshold)
+            counters = [_Counter(table, limits), _Counter(table, limits, bottom=0)]
+            assert counters[0].top < len(logs)
             limit = threshold - LOG10_SLACK
             expected = sum(weight for logp, weight in weighted if logp >= limit)
             assert [counter.count(size, threshold) for counter in counters] == [expected] * 2, q
+
+
+class TestFloors:
+    def test_threshold_below_the_floor_never_undercounts(self):
+        # The counter's tables hold only what its own floor can reach; a
+        # shared counter asked below it must not answer from them.
+        rng = random.Random(31)
+        for _ in range(60):
+            table = random_table(rng, rng.randint(2, 6))
+            size = rng.randint(2, 4)
+            lo, hi = size * table.min_log10, size * table.max_log10
+            floor = rng.uniform(lo, hi)
+            threshold = rng.uniform(lo - 0.5, floor)
+            counter = _Counter(table, floor_at(size, floor))
+            with _sharing(counter):
+                assert count_admissible(table, size, threshold) == brute_force_count(table, size, threshold)
+            with pytest.raises(ValueError, match="does not serve"):
+                counter.count(size, threshold)
+
+    def test_pruned_tables_let_the_bottom_grow(self, clustered_scopes):
+        # The 24 README subsets at sizes 5..18, as the count-deep workload
+        # counts them. Unpruned, a bottom of 4 of the 10 instructions holds
+        # C(18 + 4, 4) = 7,315 entries per subset; pruned, the same budget
+        # reaches further.
+        kept, bottoms = 0, []
+        for scope in clustered_scopes:
+            limits = {s: t - LOG10_SLACK for s, t in scope.thresholds.items() if 5 <= s <= 18}
+            kept += sum(len(keys) for keys, _ in _Counter(scope.table, limits, bottom=4).tables)
+            counter = _Counter(scope.table, limits)
+            bottoms.append(len(counter.logs) - counter.top)
+        assert len(clustered_scopes) == 24
+        assert kept <= 0.2 * 24 * math.comb(18 + 4, 4)
+        assert min(bottoms) >= 5
 
 
 def products_at_least(counts: list[int], size: int) -> tuple[list[int], list[int]]:
@@ -221,7 +260,7 @@ class TestIntegerProducts:
         checked = 0
         for scope in clustered_scopes:
             table = scope.table
-            counter = _Counter(table, 6)
+            counter = _Counter(table, {s: t - LOG10_SLACK for s, t in scope.thresholds.items() if s <= 6})
             least: dict[int, int] = {}
             for unit_id in scope.unit_ids:
                 unit = clustered_corpus.unit_by_id[unit_id]
@@ -249,10 +288,10 @@ class TestIntegerProducts:
         k = len(names)
         for size in range(1, 7):
             products, weights = products_at_least(ordered, size)
-            counters = [_Counter(table, size, bottom=b) for b in range(k + 1)]
             for combo in combinations_with_replacement(range(k), size):
                 threshold = solution_probability(table, [names[i] for i in combo])
                 expected = weights[bisect_left(products, math.prod(ordered[i] for i in combo))]
+                counters = [_Counter(table, floor_at(size, threshold), bottom=b) for b in range(k + 1)]
                 got = [counter.count(size, threshold) for counter in counters]
                 assert got == [expected] * (k + 1), (size, combo)
 
