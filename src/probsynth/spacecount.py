@@ -11,8 +11,9 @@ The counter meets in the middle (Horowitz & Sahni, JACM 1974). The
 instructions are sorted by descending probability and split in two: the
 top ``h`` and the bottom ``b = k - h``.
 
-The bottom side is solved once per counter, for the limits it serves: one
-per size, ``threshold - LOG10_SLACK``. For every total ``r`` up to the
+The bottom side is solved once per counter, for the limits it is built
+for: one per size, its threshold less ``LOG10_SLACK``, for each size that
+neither of the two bounds below answers. For every total ``r`` up to the
 largest of those sizes, a table holds in ascending order the log10
 probabilities of the bottom multisets of total ``r`` that a lookup can
 reach, with the suffix sums of their weights ``r!/prod(m!)``. How many
@@ -28,8 +29,8 @@ the rounding of either sum. No dropped entry is ever counted. The same
 test may drop a multiset while the tables are built: adding ``m`` copies of
 a bottom instruction lowers its key by at least ``-m * logs[0]``, and
 ``Q_(r+m) >= Q_r + m * logs[0]``, so no multiset grown from a dropped one
-would have been kept either. A counter serves a size only at its own limit
-or above, and refuses to count below it.
+would have been kept either. A counter counts a size only at its own limit
+or above, and raises below it unless a bound answers.
 
 The top side is a depth-first branch and bound over multisets, walked with
 an explicit stack so that no alphabet size meets the recursion limit. A
@@ -54,8 +55,8 @@ instruction at a time, from the least probable up, to at most ``k - 1``,
 and stops before the step whose kept entries would pass
 ``_TABLE_BUDGET``, about 0.6 MB. A step is counted, by one binary search
 per source table, before any entry is made. With ``b = 0`` the counter is
-the plain branch and bound. ``measure`` builds the tables once per scope,
-at its thresholds for every size it counts, and every size shares them.
+the plain branch and bound. ``measure`` builds one counter per scope, at
+its thresholds for every size it counts, and passes it to every count.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ import logging
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
@@ -136,37 +135,35 @@ def _bottom_tables(
 
 
 class _Counter:
-    """Exact counts over one table at the limits it was built for.
+    """Exact counts over one table at the thresholds it was built for.
 
-    ``limits`` maps each size it serves to its least limit, ``threshold -
-    LOG10_SLACK``; it counts a size at that limit or above. ``bottom``
-    fixes the split; left at None it is worked out from the input, and
-    only tests set it.
+    ``thresholds`` maps each size it counts to its least threshold; it
+    counts a size at that threshold or above, and any size one of the two
+    bounds answers. ``bottom`` fixes the split; left at None it is worked
+    out from the input, and only tests set it.
     """
 
-    def __init__(self, table: ProbabilityTable, limits: dict[int, float], bottom: int | None = None):
+    def __init__(self, table: ProbabilityTable, thresholds: dict[int, float], bottom: int | None = None):
         self.table = table
-        self.limits = limits
         self.logs = sorted(table.log10_probs.values(), reverse=True)
         # Ascending, so that the partners of a one-slot partial (the j with
         # logs[j] >= limit - logp) are a prefix of its range for bisect.
         self.neg = [-log for log in self.logs]
-        best = self.logs[0]
+        best, worst = self.logs[0], self.logs[-1]
+        # The sizes the tables serve, at their limits: those neither bound
+        # answers at their own threshold.
+        limits = {size: threshold - LOG10_SLACK for size, threshold in thresholds.items()}
+        self.limits = {size: limit for size, limit in limits.items() if size * worst < limit <= size * best}
         # The floors Q_r of the module docstring, one per total r.
         floors = [
-            min([limit - (s - r) * best for s, limit in limits.items() if s >= r]) - LOG10_SLACK
-            for r in range(max(limits) + 1)
+            min([limit - (s - r) * best for s, limit in self.limits.items() if s >= r]) - LOG10_SLACK
+            for r in range(max(self.limits, default=-1) + 1)
         ]
-        b, self.tables = _bottom_tables(self.logs, floors, bottom)
+        b, self.tables = _bottom_tables(self.logs, floors, bottom) if floors else (0, [])
         self.top = len(self.logs) - b
-
-    def serves(self, table: ProbabilityTable, size: int, threshold: float) -> bool:
-        return table is self.table and threshold - LOG10_SLACK >= self.limits.get(size, math.inf)
 
     def count(self, size: int, threshold: float) -> int:
         """Admissible candidates of exactly ``size`` instructions."""
-        if not self.serves(self.table, size, threshold):
-            raise ValueError(f"counter does not serve size {size} at threshold {threshold!r}")
         logs, neg, top, tables = self.logs, self.neg, self.top, self.tables
         k = len(logs)
         worst = logs[-1]
@@ -178,6 +175,8 @@ class _Counter:
             return 0
         if size * worst >= limit:
             return k**size
+        if limit < self.limits.get(size, math.inf):
+            raise ValueError(f"counter does not serve size {size} at threshold {threshold!r}")
         binomials = [[math.comb(r, m) for m in range(r + 1)] for r in range(size + 1)]
         total = 0
         # Partials that are neither cut nor closed by the bounds:
@@ -210,28 +209,17 @@ class _Counter:
         return total
 
 
-# The counter ``measure`` shares across the sizes it counts.
-_shared_counter: ContextVar[_Counter | None] = ContextVar("_shared_counter", default=None)
-
-
-@contextmanager
-def _sharing(counter: _Counter | None):
-    token = _shared_counter.set(counter)
-    try:
-        yield
-    finally:
-        _shared_counter.reset(token)
-
-
-def count_admissible(table: ProbabilityTable, size: int, threshold: float) -> int:
-    """Exact number of admissible candidates at ``size`` over the table's alphabet."""
+def count_admissible(table: ProbabilityTable, size: int, threshold: float, *, counter: _Counter | None = None) -> int:
+    """Exact number of admissible candidates at ``size`` over the table's
+    alphabet, from ``counter`` if given, which must serve the call."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if not table.log10_probs:
         raise ValueError("probability table is empty")
-    counter = _shared_counter.get()
-    if counter is None or not counter.serves(table, size, threshold):
-        counter = _Counter(table, {size: threshold - LOG10_SLACK})
+    if counter is None:
+        counter = _Counter(table, {size: threshold})
+    elif counter.table is not table:
+        raise ValueError(f"counter does not serve table {table.scope}")
     return counter.count(size, threshold)
 
 
@@ -262,29 +250,27 @@ def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasur
         raise ValueError(f"is_cap must be >= 1, got {is_cap}")
     table, thresholds = scope.table, scope.thresholds
     sizes = list(sizes)
-    limits = {size: thresholds[size] - LOG10_SLACK for size in sizes if size in thresholds}
-    counter = _Counter(table, limits) if limits else None
+    counter = _Counter(table, {size: thresholds[size] for size in sizes if size in thresholds})
     out = []
-    with _sharing(counter):
-        for size in sizes:
-            if size not in thresholds:
-                logger.warning("no threshold for scope %s at size %d; skipping", table.scope, size)
-                continue
-            threshold = thresholds[size]
-            admissible = count_admissible(table, size, threshold)
-            baseline = is_cap**size
-            if admissible == 0:
-                reduction = math.inf
-            else:
-                reduction = math.log10(baseline) - math.log10(admissible)
-            out.append(
-                SpaceMeasurement(
-                    scope=table.scope,
-                    size=size,
-                    threshold=threshold,
-                    admissible_count=admissible,
-                    baseline_count=baseline,
-                    reduction_oom=reduction,
-                )
+    for size in sizes:
+        if size not in thresholds:
+            logger.warning("no threshold for scope %s at size %d; skipping", table.scope, size)
+            continue
+        threshold = thresholds[size]
+        admissible = count_admissible(table, size, threshold, counter=counter)
+        baseline = is_cap**size
+        if admissible == 0:
+            reduction = math.inf
+        else:
+            reduction = math.log10(baseline) - math.log10(admissible)
+        out.append(
+            SpaceMeasurement(
+                scope=table.scope,
+                size=size,
+                threshold=threshold,
+                admissible_count=admissible,
+                baseline_count=baseline,
+                reduction_oom=reduction,
             )
+        )
     return out

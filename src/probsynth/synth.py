@@ -59,11 +59,9 @@ from __future__ import annotations
 
 import json
 import random
-from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -275,11 +273,10 @@ class _SubsetSearch:
         # units[L] is the key distance between siblings of length L.
         radix = len(self.steps) + 1
         self.units = [radix ** (max_size - length) for length in range(max_size + 1)]
-        self.new_keys = partial(array, "q") if self.units[0] < 2**63 else list
         # The frontier of the last round searched here, as sorted keys and
         # their tags (_CUT, _UNTESTED, _SKIPPED). Before round 1 it is the
         # cut at the root's first child: every node is new.
-        self.frontier = (self.new_keys([self.units[1]]), array("b", [_CUT]))
+        self.frontier = ([self.units[1]], [_CUT])
         # Per test case: repr(stack) -> the solve mask of that stack for
         # the case's expected output (``_solve_mask``). A mask outlives
         # its round, so no later round computes it again.
@@ -425,7 +422,7 @@ def _dfs_subset(
     old_keys, old_tags = search.frontier
     old_count = len(old_keys)
     pos = 0
-    keys, tags = search.new_keys(), array("b")
+    keys, tags = [], []
     add_key, add_tag = keys.append, tags.append
 
     # Per length: repr(states) -> best log-probability of a prefix that
@@ -489,7 +486,7 @@ def _dfs_subset(
             add_tag(_CUT)
         return None
 
-    def rec(prefix: list[str], key: int, logp: float, states: list, fresh: bool) -> tuple[str, ...] | None:
+    def rec(prefix: list[str], key: int, logp: float, fresh: bool, states: list) -> tuple[str, ...] | None:
         # A fresh prefix lies at or below a cut of the last round, so its
         # whole subtree is new. Otherwise only the children that hold or
         # lead to a frontier entry are visited, and the children from the
@@ -545,44 +542,38 @@ def _dfs_subset(
                 head = _stepped(states[0], arity, fn)
                 if head is None and all(_stepped(state, arity, fn) is None for state in states[1:]):
                     continue
-                if below:
-                    add_key(child_key)
-                    add_tag(_UNTESTED)
-                prefix.append(instruction)
-                found = leaf(prefix, child_key, child_logp, fresh, head, states, arity, fn)
-                prefix.pop()
-                if found is not None:
-                    return found
-                continue
-            child_states = [_stepped(state, arity, fn) for state in states]
-            if child_states.count(None) == len(child_states):  # dead in every case
-                continue
-            skipped = tag == _SKIPPED
-            if level is not None and not skipped:
-                # Dominance: an earlier prefix of this length left the
-                # same states at a log-probability at least as high, so
-                # it already searched a twin of every completion here.
-                state_key = repr(child_states)
-                best = level.get(state_key)
-                skipped = best is not None and best >= child_logp
-                if not skipped:
-                    level[state_key] = child_logp
-            if skipped:
-                # A skipped subtree stays skipped: a later round's earlier
-                # prefixes include this round's, in the same order, so the
-                # best log-probability it is compared with can only grow.
-                counters["deduped"] += 1
-                if below:
-                    add_key(child_key)
-                    add_tag(_SKIPPED)
-                if not fresh:
-                    pos = bisect_left(old_keys, child_key + unit, pos)
-                continue
+                descend, stacks = leaf, (head, states, arity, fn)
+            else:
+                child_states = [_stepped(state, arity, fn) for state in states]
+                if child_states.count(None) == len(child_states):  # dead in every case
+                    continue
+                skipped = tag == _SKIPPED
+                if level is not None and not skipped:
+                    # Dominance: an earlier prefix of this length left the
+                    # same states at a log-probability at least as high, so
+                    # it already searched a twin of every completion here.
+                    state_key = repr(child_states)
+                    best = level.get(state_key)
+                    skipped = best is not None and best >= child_logp
+                    if not skipped:
+                        level[state_key] = child_logp
+                if skipped:
+                    # A skipped subtree stays skipped: a later round's earlier
+                    # prefixes include this round's, in the same order, so the
+                    # best log-probability it is compared with can only grow.
+                    counters["deduped"] += 1
+                    if below:
+                        add_key(child_key)
+                        add_tag(_SKIPPED)
+                    if not fresh:
+                        pos = bisect_left(old_keys, child_key + unit, pos)
+                    continue
+                descend, stacks = rec, (child_states,)
             if below:
                 add_key(child_key)
                 add_tag(_UNTESTED)
             prefix.append(instruction)
-            found = rec(prefix, child_key, child_logp, child_states, fresh)
+            found = descend(prefix, child_key, child_logp, fresh, *stacks)
             prefix.pop()
             if found is not None:
                 return found
@@ -592,7 +583,7 @@ def _dfs_subset(
     if max_size == 1:
         solution = leaf([], 0, 0.0, False, initial[0], initial, 0, None)
     else:
-        solution = rec([], 0, 0.0, initial, False)
+        solution = rec([], 0, 0.0, False, initial)
     if solution is None:
         search.frontier = (keys, tags)
     return solution

@@ -28,8 +28,9 @@ from probsynth import (
     solution_probability,
     table_from_counts,
 )
+from probsynth import spacecount
 from probsynth.probability import fmt12
-from probsynth.spacecount import _Counter, _sharing
+from probsynth.spacecount import _Counter
 
 from conftest import brute_force_count
 
@@ -42,8 +43,8 @@ def random_table(rng, k):
 
 
 def floor_at(size, threshold):
-    """The limits of a counter that serves one size, from one threshold up."""
-    return {size: threshold - LOG10_SLACK}
+    """The thresholds of a counter that serves one size, from one threshold up."""
+    return {size: threshold}
 
 
 class TestCountAdmissible:
@@ -56,6 +57,8 @@ class TestCountAdmissible:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             count_admissible(UNIFORM2, 0, 0.0)
+        with pytest.raises(ValueError, match="does not serve table"):
+            count_admissible(SKEWED2, 2, -1.0, counter=_Counter(UNIFORM2, floor_at(2, -1.0)))
 
 
 class TestBruteForce:
@@ -141,8 +144,8 @@ class TestSplitPoints:
         assert count_admissible(table, size, threshold) == expected
         k = len(table.log10_probs)
         for top in range(k + 1):
-            with _sharing(_Counter(table, floor_at(size, threshold), bottom=k - top)):
-                assert count_admissible(table, size, threshold) == expected, top
+            counter = _Counter(table, floor_at(size, threshold), bottom=k - top)
+            assert count_admissible(table, size, threshold, counter=counter) == expected, top
 
     def test_large_alphabet_has_no_recursion_limit(self):
         # 1,100 instructions whose pairs sit exactly at the threshold: a
@@ -172,10 +175,15 @@ class TestSplitPoints:
         table = table_from_counts("global", {f"x{i}": c for i, c in enumerate(counts)})
         names = list(table.log10_probs)
         k = len(names)
+        checked = set()
         for size in [s for s in range(1, 5) if k**s <= 3000]:
             for multiset in combinations_with_replacement(names, size):
                 logp = solution_probability(table, multiset)
                 for threshold in (logp, logp - LOG10_SLACK):
+                    # Tied multisets repeat a check; each distinct one runs once.
+                    if (size, threshold) in checked:
+                        continue
+                    checked.add((size, threshold))
                     expected = brute_force_count(table, size, threshold)
                     counters = [_Counter(table, floor_at(size, threshold), bottom=b) for b in range(k + 1)]
                     got = [counter.count(size, threshold) for counter in counters]
@@ -197,8 +205,8 @@ class TestSplitPoints:
         probabilities = sorted(logp for logp, _ in weighted)
         for q in (0.001, 0.01, 0.1, 0.5, 0.9, 0.99):
             threshold = probabilities[int(q * len(probabilities))]
-            limits = floor_at(size, threshold)
-            counters = [_Counter(table, limits), _Counter(table, limits, bottom=0)]
+            thresholds = floor_at(size, threshold)
+            counters = [_Counter(table, thresholds), _Counter(table, thresholds, bottom=0)]
             assert counters[0].top < len(logs)
             limit = threshold - LOG10_SLACK
             expected = sum(weight for logp, weight in weighted if logp >= limit)
@@ -207,20 +215,44 @@ class TestSplitPoints:
 
 class TestFloors:
     def test_threshold_below_the_floor_never_undercounts(self):
-        # The counter's tables hold only what its own floor can reach; a
-        # shared counter asked below it must not answer from them.
+        # The counter's tables hold only what its own floor can reach; asked
+        # below it, a counter raises unless a bound answers without them.
         rng = random.Random(31)
+        raised = 0
         for _ in range(60):
             table = random_table(rng, rng.randint(2, 6))
             size = rng.randint(2, 4)
             lo, hi = size * table.min_log10, size * table.max_log10
             floor = rng.uniform(lo, hi)
             threshold = rng.uniform(lo - 0.5, floor)
+            expected = brute_force_count(table, size, threshold)
+            assert count_admissible(table, size, threshold) == expected
             counter = _Counter(table, floor_at(size, floor))
-            with _sharing(counter):
-                assert count_admissible(table, size, threshold) == brute_force_count(table, size, threshold)
+            if size * counter.logs[-1] >= threshold - LOG10_SLACK:
+                assert count_admissible(table, size, threshold, counter=counter) == expected
+                continue
+            with pytest.raises(ValueError, match="does not serve"):
+                count_admissible(table, size, threshold, counter=counter)
             with pytest.raises(ValueError, match="does not serve"):
                 counter.count(size, threshold)
+            raised += 1
+        assert raised >= 20
+
+    def test_bounds_answer_before_any_table(self, clustered_corpus):
+        # The README corpus's 103-instruction global table at size 4: a
+        # threshold below every candidate, and one above every candidate,
+        # are each answered by a bound, so the counter builds no bottom.
+        [scope] = build_scopes(clustered_corpus, None, "global", 4)
+        table, size = scope.table, 4
+        k = len(table.log10_probs)
+        assert k == 103
+        below, above = size * table.min_log10 - 1.0, size * table.max_log10 + 1.0
+        for threshold, expected in ((below, k**size), (above, 0)):
+            counter = _Counter(table, floor_at(size, threshold))
+            assert counter.top == k
+            assert sum(len(keys) for keys, _ in counter.tables) <= 1
+            assert count_admissible(table, size, threshold, counter=counter) == expected
+            assert count_admissible(table, size, threshold) == expected
 
     def test_pruned_tables_let_the_bottom_grow(self, clustered_scopes):
         # The 24 README subsets at sizes 5..18, as the count-deep workload
@@ -229,13 +261,28 @@ class TestFloors:
         # reaches further.
         kept, bottoms = 0, []
         for scope in clustered_scopes:
-            limits = {s: t - LOG10_SLACK for s, t in scope.thresholds.items() if 5 <= s <= 18}
-            kept += sum(len(keys) for keys, _ in _Counter(scope.table, limits, bottom=4).tables)
-            counter = _Counter(scope.table, limits)
+            thresholds = {s: t for s, t in scope.thresholds.items() if 5 <= s <= 18}
+            kept += sum(len(keys) for keys, _ in _Counter(scope.table, thresholds, bottom=4).tables)
+            counter = _Counter(scope.table, thresholds)
             bottoms.append(len(counter.logs) - counter.top)
         assert len(clustered_scopes) == 24
         assert kept <= 0.2 * 24 * math.comb(18 + 4, 4)
         assert min(bottoms) >= 5
+
+    def test_measure_builds_one_counter_per_scope(self, clustered_scopes, monkeypatch):
+        # count-deep's 24 README subsets at sizes 5..18: each scope's sizes
+        # share one counter, which measure passes to every count.
+        built = []
+
+        class Counting(_Counter):
+            def __init__(self, table, thresholds, bottom=None):
+                built.append(table)
+                super().__init__(table, thresholds, bottom)
+
+        monkeypatch.setattr(spacecount, "_Counter", Counting)
+        for scope in clustered_scopes:
+            assert len(measure(scope, range(5, 19), is_cap=10)) == 14
+        assert len(built) == len(clustered_scopes) == 24
 
 
 def products_at_least(counts: list[int], size: int) -> tuple[list[int], list[int]]:
@@ -260,7 +307,7 @@ class TestIntegerProducts:
         checked = 0
         for scope in clustered_scopes:
             table = scope.table
-            counter = _Counter(table, {s: t - LOG10_SLACK for s, t in scope.thresholds.items() if s <= 6})
+            counter = _Counter(table, {s: t for s, t in scope.thresholds.items() if s <= 6})
             least: dict[int, int] = {}
             for unit_id in scope.unit_ids:
                 unit = clustered_corpus.unit_by_id[unit_id]
@@ -286,11 +333,17 @@ class TestIntegerProducts:
         names = list(table.log10_probs)
         ordered = list(table.counts.values())
         k = len(names)
+        checked = set()
         for size in range(1, 7):
             products, weights = products_at_least(ordered, size)
             for combo in combinations_with_replacement(range(k), size):
                 threshold = solution_probability(table, [names[i] for i in combo])
-                expected = weights[bisect_left(products, math.prod(ordered[i] for i in combo))]
+                product = math.prod(ordered[i] for i in combo)
+                # Tied multisets repeat a check; each distinct one runs once.
+                if (size, threshold, product) in checked:
+                    continue
+                checked.add((size, threshold, product))
+                expected = weights[bisect_left(products, product)]
                 counters = [_Counter(table, floor_at(size, threshold), bottom=b) for b in range(k + 1)]
                 got = [counter.count(size, threshold) for counter in counters]
                 assert got == [expected] * (k + 1), (size, combo)
