@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import errno
 import json
-import logging
 import math
 import os
 import statistics
@@ -118,14 +117,16 @@ def _fractions(text: str) -> list[float]:
     return [_fraction(part) for part in text.split(",")]
 
 
-def _configure_logging() -> None:
-    """Route the package's warnings to the current stderr as
-    ``probsynth: LEVEL: message``; each call replaces the handler, so
-    repeated ``main`` calls in one process print each record once."""
-    handler = logging.StreamHandler()
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("probsynth: %(levelname)s: %(message)s"))
-    logging.getLogger("probsynth").handlers[:] = [handler]
+def _warn(message: str) -> None:
+    print(f"probsynth: WARNING: {message}", file=sys.stderr)
+
+
+def _cluster(corpus: Corpus, cap: int) -> SubsetFamily:
+    """``cluster_subsets``, warning of the units it excludes."""
+    family = cluster_subsets(corpus, cap=cap)
+    if family.excluded_units:
+        _warn(f"excluding {len(family.excluded_units)} units with more than {cap} unique instructions")
+    return family
 
 
 def _load_family_arg(args, corpus: Corpus) -> SubsetFamily | None:
@@ -166,8 +167,7 @@ def cmd_gen(args) -> _Outputs:
 
 
 def cmd_cluster(args) -> _Outputs:
-    corpus = load_corpus(args.input)
-    family = cluster_subsets(corpus, cap=args.cap)
+    family = _cluster(load_corpus(args.input), args.cap)
     return [(args.output, partial(save_family, family))]
 
 
@@ -230,7 +230,12 @@ def cmd_measure(args) -> _Outputs:
     scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.sizes.hi)
     if not any(size in scope.thresholds for scope in scopes for size in sizes):
         raise ValueError(f"no unit in scope {args.scope} has a size in {args.sizes.lo}..{args.sizes.hi}")
-    measured = [m for scope in scopes for m in measure(scope, sizes, args.cap)]
+    measured = []
+    for scope in scopes:
+        for size in sizes:
+            if size not in scope.thresholds:
+                _warn(f"no threshold for scope {scope.table.scope} at size {size}; skipping")
+        measured += measure(scope, [size for size in sizes if size in scope.thresholds], args.cap)
     # The mode column always reads "sequences" (counts are of sequences
     # only); the artifact digests in bench/digests.json include it.
     header = ["scope", "size", "mode", "threshold_log10", "admissible_count", "baseline_count", "reduction_oom"]
@@ -257,8 +262,7 @@ def cmd_validate(args) -> _Outputs:
 def cmd_synth(args) -> _Outputs:
     corpus = load_corpus(args.input)
     spec = load_test_spec(args.spec)
-    family = cluster_subsets(corpus, cap=args.cap)
-    scopes = build_scopes(corpus, family, "subsets", args.max_size)
+    scopes = build_scopes(corpus, _cluster(corpus, args.cap), "subsets", args.max_size)
     if args.no_prune:
         scopes = [scope.without_thresholds() for scope in scopes]
     report = synthesize(spec, scopes, args.max_size)
@@ -350,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _configure_logging()
     if args.command == "gen":
         # The DSL generator has its own 24 instructions and no pools.
         for name in ("alphabet", "clusters"):

@@ -8,8 +8,8 @@ object as the ``cap ** size`` baseline: each admissible instruction
 multiset contributes its multinomial coefficient S!/prod(m_i!).
 
 The counter meets in the middle (Horowitz & Sahni, JACM 1974). The
-instructions are sorted by descending probability and split in two: the
-top ``h`` and the bottom ``b = k - h``.
+instructions, in the table's order of descending probability, are split
+in two: the top ``h`` and the bottom ``b = k - h``.
 
 The bottom side is solved once per counter, for the limits it is built
 for: one per size, its threshold less ``LOG10_SLACK``, for each size that
@@ -61,7 +61,6 @@ its thresholds for every size it counts, and passes it to every count.
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -70,8 +69,6 @@ from itertools import accumulate
 from typing import Iterable
 
 from .probability import LOG10_SLACK, ProbabilityTable, Scope
-
-logger = logging.getLogger(__name__)
 
 # Most entries the bottom tables of one counter may keep, over all totals.
 # An entry is a float in an array and a weight in a list (a suffix sum
@@ -145,7 +142,7 @@ class _Counter:
 
     def __init__(self, table: ProbabilityTable, thresholds: dict[int, float], bottom: int | None = None):
         self.table = table
-        self.logs = sorted(table.log10_probs.values(), reverse=True)
+        self.logs = list(table.log10_probs.values())  # descending
         # Ascending, so that the partners of a one-slot partial (the j with
         # logs[j] >= limit - logp) are a prefix of its range for bisect.
         self.neg = [-log for log in self.logs]
@@ -240,22 +237,22 @@ def measure(scope: Scope, sizes: Iterable[int], is_cap: int) -> list[SpaceMeasur
     thresholds, and its reduction against the ``is_cap ** size`` baseline,
     for each requested size.
 
-    Sizes without a threshold are reported and skipped. A fully pruned
-    space (admissible count 0) yields a reduction of ``math.inf``. No
-    scope ``build_scopes`` makes has one, since each threshold is the
-    probability of one of the scope's own units, but a scope given other
-    thresholds (``dataclasses.replace(scope, thresholds=...)``) can.
+    A size without a threshold in the scope raises ``ValueError`` before
+    any count. A fully pruned space (admissible count 0) yields a reduction
+    of ``math.inf``. No scope ``build_scopes`` makes has one, since each
+    threshold is the probability of one of the scope's own units, but a
+    scope given other thresholds (``dataclasses.replace(scope, thresholds=...)``) can.
     """
     if is_cap < 1:
         raise ValueError(f"is_cap must be >= 1, got {is_cap}")
     table, thresholds = scope.table, scope.thresholds
     sizes = list(sizes)
-    counter = _Counter(table, {size: thresholds[size] for size in sizes if size in thresholds})
-    out = []
     for size in sizes:
         if size not in thresholds:
-            logger.warning("no threshold for scope %s at size %d; skipping", table.scope, size)
-            continue
+            raise ValueError(f"no threshold for scope {table.scope} at size {size}")
+    counter = _Counter(table, {size: thresholds[size] for size in sizes})
+    out = []
+    for size in sizes:
         threshold = thresholds[size]
         admissible = count_admissible(table, size, threshold, counter=counter)
         baseline = is_cap**size

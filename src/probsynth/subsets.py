@@ -11,14 +11,11 @@ stays within the cap, else a new subset is opened.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 from .corpus import Corpus, CorpusFormatError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,6 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
     if not kept:
         raise ValueError(f"no unit has at most {cap} unique instructions")
     excluded = [u.id for u in corpus.units if len(u.unique_instructions) > cap]
-    if excluded:
-        logger.warning("excluding %d units with more than %d unique instructions", len(excluded), cap)
 
     ordered = sorted(kept, key=lambda u: -len(u.unique_instructions))
     members: list[set[str]] = []

@@ -258,7 +258,7 @@ class _SubsetSearch:
 
     def __init__(self, scope: Scope, max_size: int):
         self.subset_id = scope.subset_id
-        ordered = sorted(scope.table.log10_probs.items(), key=lambda kv: (-kv[1], kv[0]))
+        ordered = list(scope.table.log10_probs.items())  # descending, then by name
         unknown = next((instr for instr, _ in ordered if instr not in _OPS), None)
         if unknown is not None:
             raise ValueError(f"unknown DSL instruction {unknown!r}")

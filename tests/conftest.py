@@ -9,7 +9,6 @@ from 0, so ``scopes[subset.id]`` is that subset's scope.
 from __future__ import annotations
 
 import json
-import logging
 from itertools import product
 
 import pytest
@@ -72,16 +71,6 @@ def write_spec(spec: TestCaseSpec, path) -> None:
     payload = {"cases": [{"inputs": list(c.inputs), "output": c.expected} for c in spec.cases]}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
-
-
-@pytest.fixture(autouse=True)
-def restore_log_handlers():
-    """``cli.main`` binds the package logger to the stderr of its call,
-    which pytest replaces per test: drop that handler after each test."""
-    logger = logging.getLogger("probsynth")
-    handlers = logger.handlers[:]
-    yield
-    logger.handlers[:] = handlers
 
 
 @pytest.fixture(scope="session")

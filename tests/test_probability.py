@@ -77,6 +77,16 @@ class TestSubsetProbs:
         for table in (s.table for s in clustered_scopes):
             assert abs(sum(10**lp for lp in table.log10_probs.values()) - 1.0) < 1e-9
 
+    def test_tables_in_search_order(self, clustered_corpus, clustered_scopes):
+        # The counter and the synthesizer read log10_probs in its own order:
+        # non-increasing log10 probability, equal ones by ascending name.
+        ties = 0
+        for table in [global_instruction_probs(clustered_corpus)] + [s.table for s in clustered_scopes]:
+            items = list(table.log10_probs.items())
+            assert items == sorted(items, key=lambda kv: (-kv[1], kv[0]))
+            ties += len(items) - len(set(table.log10_probs.values()))
+        assert ties > 0
+
 
 class TestSolutionProbability:
     def test_product_of_halves(self):

@@ -1,7 +1,7 @@
 """Every public function, class and method has a caller outside the tests,
-every import and module logger is read where it is bound, every CSV
-artifact goes through one writer, and every output file through one
-write path.
+every import is read where it is bound, every CSV artifact goes through
+one writer, every output file through one write path, and only the CLI
+prints.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
@@ -85,9 +85,9 @@ def test_every_public_name_has_a_caller():
 
 
 def _unread(path: Path) -> list[str]:
-    """The names the module imports, and its module-level ``logger``, that
-    nothing in the module reads. ``from __future__`` imports change how the
-    module compiles and are never read."""
+    """The names the module imports that nothing in the module reads.
+    ``from __future__`` imports change how the module compiles and are
+    never read."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     bound = [
@@ -96,15 +96,10 @@ def _unread(path: Path) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
         for alias in node.names
     ]
-    bound += [
-        (node.lineno, "logger")
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "logger" for target in node.targets)
-    ]
     return [f"{path.name}:{line} {name}" for line, name in bound if name not in read]
 
 
-def test_every_import_and_logger_is_read():
+def test_every_import_is_read():
     # The package __init__ imports only to re-export.
     unread = [place for path in SOURCES if path.name != "__init__.py" for place in _unread(path)]
     assert not unread, f"bound but never read: {unread}"
@@ -132,17 +127,36 @@ def _calls(name: str) -> list[tuple[str, str]]:
     return found
 
 
-def test_one_csv_writer():
-    importers = [
+def _importers(module: str) -> list[str]:
+    """Each file under `src/probsynth` that imports ``module``, a submodule
+    of it or a name from it, once per import statement."""
+    return [
         path.name
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and "csv" in [alias.name for alias in node.names] + [getattr(node, "module", None)]
+        if isinstance(node, ast.Import) and module in [alias.name.split(".")[0] for alias in node.names]
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == module
     ]
-    assert importers == ["cli.py"]
+
+
+def test_one_csv_writer():
+    assert _importers("csv") == ["cli.py"]
     assert _calls("writer") == [("cli.py", "_write_csv")]
     assert {path for path, _ in _calls("fmt12")} == {"cli.py"}
+
+
+def test_only_the_cli_prints():
+    # The library returns what it has to report (a raise, or a value such
+    # as SubsetFamily.excluded_units) and keeps no logger; the CLI prints.
+    assert _importers("logging") == []
+    assert {path for path, _ in _calls("print")} == {"cli.py"}
+    stderr = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "stderr" in (getattr(node, "attr", None), getattr(node, "id", None))
+    }
+    assert stderr == {"cli.py"}
 
 
 def test_one_write_path():
@@ -150,4 +164,11 @@ def test_one_write_path():
     # renames files into place.
     for name in ("mkstemp", "fdopen", "os.replace"):
         assert _calls(name) == [("cli.py", "_commit")], name
-    assert not [call for call in _calls("open") if call[0] == "cli.py"]
+    # The files commands read, and save_corpus, which bench/workloads.py
+    # calls with a path.
+    assert _calls("open") == [
+        ("corpus.py", "load_corpus"),
+        ("corpus.py", "save_corpus"),
+        ("subsets.py", "load_family"),
+        ("synth.py", "load_test_spec"),
+    ]

@@ -433,12 +433,11 @@ class TestMeasure:
         assert m.baseline_count == 4
         assert m.reduction_oom == pytest.approx(math.log10(4), rel=1e-12)
 
-    def test_missing_threshold_skipped(self, caplog):
+    def test_missing_threshold_raises(self):
         scope = derive_thresholds(Corpus(units=(ProgramUnit("u1", ("a", "a")),)), SKEWED2, ["u1"], max_size=5)
-        with caplog.at_level("WARNING"):
-            out = measure(scope, [2, 3], is_cap=2)
-        assert [m.size for m in out] == [2]
-        assert "scope global at size 3" in caplog.text
+        with pytest.raises(ValueError, match="no threshold for scope global at size 3"):
+            measure(scope, [2, 3], is_cap=2)
+        assert [m.size for m in measure(scope, [2], is_cap=2)] == list(scope.thresholds) == [2]
 
     def test_empty_space_reports_infinite_reduction(self):
         # A fully pruned space cannot come from a scope's own units: give the
