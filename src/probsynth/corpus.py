@@ -26,6 +26,10 @@ CLUSTER_SIZE = 10
 # Names that passed _check_token, which depends on the name alone: checked once per process.
 _VALID_NAMES: set[str] = set()
 
+# Configured as json.loads's own decoder; _decode_line runs its scanner on each corpus line.
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"  # the only whitespace JSON allows around a value
+
 
 class CorpusFormatError(ValueError):
     """A corpus file or record violates the expected external format."""
@@ -51,10 +55,17 @@ class ProgramUnit:
             raise CorpusFormatError("program unit id must be non-empty")
         if not self.instructions:
             raise CorpusFormatError(f"program unit {self.id!r} has an empty instruction list")
-        for token in self.instructions:
-            if type(token) is not str or token not in _VALID_NAMES:  # a list is unhashable
-                _check_token(token, self.id)
-                _VALID_NAMES.add(token)
+        tokens = self.instructions
+        try:
+            "".join(tokens)  # takes only strings: a non-str token equal to a known name must not pass
+            known = _VALID_NAMES.issuperset(tokens)
+        except TypeError:
+            known = False
+        if not known:
+            for token in tokens:
+                if type(token) is not str or token not in _VALID_NAMES:  # a list is unhashable
+                    _check_token(token, self.id)
+                    _VALID_NAMES.add(token)
 
     @property
     def size(self) -> int:
@@ -85,22 +96,34 @@ class Corpus:
         return {unit.id: unit for unit in self.units}
 
 
+def _decode_line(line: str, lineno: int) -> object:
+    """``json.loads(line)``, by the scanner alone when it takes the whole
+    line; json.loads itself runs only to give a rejected line's error."""
+    text = line.strip(_JSON_WHITESPACE)
+    try:
+        record, end = _DECODER.scan_once(text, 0)
+        if end == len(text):
+            return record
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+
+
 def _parse_record(line: str, lineno: int) -> ProgramUnit:
     """One JSON line as a unit. Only the JSON shape is checked here; the id,
     the instructions and their tokens are checked by ProgramUnit."""
-    where = f"line {lineno}"
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+    record = _decode_line(line, lineno)
     if not isinstance(record, dict):
-        raise CorpusFormatError(f"{where}: expected an object, got {type(record).__name__}")
+        raise CorpusFormatError(f"line {lineno}: expected an object, got {type(record).__name__}")
     unit_id = record.get("id")
     if not isinstance(unit_id, str):
-        raise CorpusFormatError(f"{where}: 'id' must be a non-empty string")
+        raise CorpusFormatError(f"line {lineno}: 'id' must be a non-empty string")
     instructions = record.get("instructions")
     if not isinstance(instructions, list):
-        raise CorpusFormatError(f"{where}: 'instructions' must be an array")
+        raise CorpusFormatError(f"line {lineno}: 'instructions' must be an array")
     # One string object per instruction name: the decoder makes a new one
     # per occurrence, and a corpus repeats each name thousands of times.
     try:
@@ -110,7 +133,7 @@ def _parse_record(line: str, lineno: int) -> ProgramUnit:
     try:
         return ProgramUnit(id=unit_id, instructions=tokens)
     except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{where}: {exc}") from None
+        raise CorpusFormatError(f"line {lineno}: {exc}") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:

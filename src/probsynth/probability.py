@@ -26,6 +26,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus
@@ -86,32 +87,34 @@ def table_from_counts(scope: str, counts: Mapping[str, int]) -> ProbabilityTable
 
 def global_instruction_probs(corpus: Corpus) -> ProbabilityTable:
     """Occurrence probability of each instruction over the whole corpus."""
-    counts: Counter = Counter()
-    for unit in corpus.units:
-        counts.update(unit.instructions)
-    return table_from_counts(GLOBAL_SCOPE, counts)
+    return table_from_counts(GLOBAL_SCOPE, Counter(chain.from_iterable(unit.instructions for unit in corpus.units)))
 
 
 def subset_instruction_probs(corpus: Corpus, subset: InstructionSubset) -> ProbabilityTable:
     """Instruction probabilities over the units covered by one subset, of
     every size (the paper's per-IS formulation), labelled "is:<subset id>"."""
-    counts: Counter = Counter()
-    for unit_id in subset.covered_units:
-        counts.update(corpus.unit_by_id[unit_id].instructions)
-    return table_from_counts(f"is:{subset.id}", counts)
+    units = (corpus.unit_by_id[unit_id] for unit_id in subset.covered_units)
+    return table_from_counts(f"is:{subset.id}", Counter(chain.from_iterable(unit.instructions for unit in units)))
 
 
 def solution_probability(table: ProbabilityTable, instructions: Iterable[str]) -> float:
-    """Log10 probability of a solution: sum over occurrences, duplicates included."""
+    """Log10 probability of a solution: sum over occurrences, duplicates included.
+
+    Each distinct instruction adds its multiplicity times its log10
+    probability, in order of first occurrence, one float addition at a
+    time. That order fixes the rounding; ``math.fsum``, or ``sum`` (which
+    compensates from Python 3.12), would round differently.
+    """
+    instructions = tuple(instructions)
     total = 0.0
-    for instruction, multiplicity in Counter(instructions).items():
+    for instruction in dict.fromkeys(instructions):
         try:
             lp = table.log10_probs[instruction]
         except KeyError:
             raise KeyError(
                 f"instruction {instruction!r} has no entry in the {table.scope!r} table"
             ) from None
-        total += multiplicity * lp
+        total += instructions.count(instruction) * lp
     return total
 
 
@@ -159,9 +162,9 @@ def _scope(
     """The scope over those of ``scope_units`` with at most ``max_size``
     instructions, their log10 solution probabilities and per-size minima."""
     units = [corpus.unit_by_id[unit_id] for unit_id in scope_units]
-    units = [unit for unit in units if unit.size <= max_size]
+    units = [unit for unit in units if len(unit.instructions) <= max_size]
     log_probs = array("d", (solution_probability(table, unit.instructions) for unit in units))
-    thresholds, support_counts = size_minima(zip((unit.size for unit in units), log_probs))
+    thresholds, support_counts = size_minima(zip((len(unit.instructions) for unit in units), log_probs))
     return Scope(subset_id, table, tuple(unit.id for unit in units), log_probs, thresholds, support_counts)
 
 

@@ -51,21 +51,32 @@ def cluster_subsets(corpus: Corpus, cap: int) -> SubsetFamily:
     excluded = [u.id for u in corpus.units if len(u.unique_instructions) > cap]
 
     ordered = sorted(kept, key=lambda u: -len(u.unique_instructions))
-    members: list[set[str]] = []
+    # Each instruction is one bit, so a member set is an int and a union one OR.
+    bits: dict[str, int] = {}
+    members: list[int] = []
     covered: list[list[str]] = []
+    # Members only grow, so a subset that once failed a mask fails it for
+    # good: each mask resumes its scan at the subset it last stopped at.
+    resume: dict[int, int] = {}
     for unit in ordered:
-        uniq = unit.unique_instructions
-        for i, existing in enumerate(members):
-            if len(existing | uniq) <= cap:
-                existing.update(uniq)
-                covered[i].append(unit.id)
-                break
-        else:
-            members.append(set(uniq))
+        mask = 0
+        for name in unit.unique_instructions:
+            mask |= bits.setdefault(name, 1 << len(bits))
+        i = resume.get(mask, 0)
+        while i < len(members) and (members[i] | mask).bit_count() > cap:
+            i += 1
+        if i == len(members):
+            members.append(mask)
             covered.append([unit.id])
+        else:
+            members[i] |= mask
+            covered[i].append(unit.id)
+        resume[mask] = i
 
     subsets = tuple(
-        InstructionSubset(id=i, members=frozenset(m), covered_units=tuple(c))
+        InstructionSubset(
+            id=i, members=frozenset(name for name, bit in bits.items() if m & bit), covered_units=tuple(c)
+        )
         for i, (m, c) in enumerate(zip(members, covered))
     )
     return SubsetFamily(subsets=subsets, excluded_units=tuple(excluded))

@@ -194,8 +194,9 @@ class TestCase:
 class TestCaseSpec:
     """Input/output examples the synthesized program must satisfy.
 
-    Inputs must be DSL values; the expected output may be any JSON value
-    (a value no DSL program produces makes the spec unsatisfiable).
+    Inputs and expected outputs must be DSL values: integers or integer
+    lists (a DSL value no program of the size reaches makes the spec
+    unsatisfiable).
     """
 
     __test__ = False
@@ -209,7 +210,7 @@ class TestCaseSpec:
         for i, case in enumerate(self.cases):
             if len(case.inputs) != arity:
                 raise ValueError(f"case {i}: expected {arity} inputs, got {len(case.inputs)}")
-            for value in case.inputs:
+            for value in (*case.inputs, case.expected):
                 _check_value(value, f"case {i}")
 
 

@@ -1,6 +1,6 @@
 """Shared corpus fixtures, session-scoped since generation is deterministic,
-the helpers that make and check test-case specs, and the brute-force
-counting oracle.
+the helpers that make and check test-case specs, the brute-force counting
+oracle, and the set-union reference for subset clustering.
 
 Scope fixtures are lists in family order; cluster_subsets numbers subsets
 from 0, so ``scopes[subset.id]`` is that subset's scope.
@@ -16,7 +16,9 @@ import pytest
 from probsynth import (
     LOG10_SLACK,
     Fault,
+    InstructionSubset,
     ProbabilityTable,
+    SubsetFamily,
     TestCase,
     TestCaseSpec,
     build_scopes,
@@ -47,6 +49,33 @@ def brute_force_count(table: ProbabilityTable, size: int, threshold: float) -> i
     logs = list(table.log10_probs.values())
     limit = threshold - LOG10_SLACK
     return sum(1 for candidate in product(logs, repeat=size) if sum(candidate) >= limit)
+
+
+def first_fit_reference(corpus, cap: int) -> SubsetFamily:
+    """Test oracle for cluster_subsets: first-fit-decreasing that builds each
+    candidate union as a set and measures it, scanning every subset from the
+    first for every unit."""
+    kept = [u for u in corpus.units if len(u.unique_instructions) <= cap]
+    if not kept:
+        raise ValueError(f"no unit has at most {cap} unique instructions")
+    excluded = [u.id for u in corpus.units if len(u.unique_instructions) > cap]
+    members: list[set[str]] = []
+    covered: list[list[str]] = []
+    for unit in sorted(kept, key=lambda u: -len(u.unique_instructions)):
+        uniq = unit.unique_instructions
+        for i, existing in enumerate(members):
+            if len(existing | uniq) <= cap:
+                existing.update(uniq)
+                covered[i].append(unit.id)
+                break
+        else:
+            members.append(set(uniq))
+            covered.append([unit.id])
+    subsets = tuple(
+        InstructionSubset(id=i, members=frozenset(m), covered_units=tuple(c))
+        for i, (m, c) in enumerate(zip(members, covered))
+    )
+    return SubsetFamily(subsets=subsets, excluded_units=tuple(excluded))
 
 
 def cases_from_program(program, inputs_list) -> TestCaseSpec:

@@ -270,8 +270,12 @@ class TestExitCodes:
         [
             ('{"cases": [}', "Expecting value: line 1 column 12 (char 11)"),
             ('{"cases": [{"inputs": "ab", "output": 1}]}', "case 0: values must be integers or integer lists"),
+            ('{"cases": [{"inputs": [], "output": "x"}]}', "case 0: values must be integers or integer lists"),
+            ('{"cases": [{"inputs": [], "output": true}]}', "case 0: values must be integers or integer lists"),
+            ('{"cases": [{"inputs": [], "output": 1.5}]}', "case 0: values must be integers or integer lists"),
+            ('{"cases": [{"inputs": [], "output": [1, "a"]}]}', "case 0: values must be integers or integer lists"),
         ],
-        ids=["invalid-json", "string-inputs"],
+        ids=["invalid-json", "string-inputs", "string-output", "bool-output", "float-output", "mixed-list-output"],
     )
     def test_malformed_spec_is_runtime_error(self, tmp_path, capsys, text, reason):
         corpus_path = tmp_path / "dsl.jsonl"

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import statistics
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -135,6 +138,81 @@ class TestLoadCorpus:
         assert load_corpus(path) == corpus
 
 
+def _json_loads_line(line, lineno):
+    """Reference for the corpus line decoder: json.loads on the whole line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+
+
+def _units_or_error(path):
+    try:
+        return load_corpus(path).units
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+class TestLineDecoding:
+    """load_corpus gives the units, or the error text, that per-line
+    json.loads gives, whatever surrounds each line's JSON."""
+
+    # JSON whitespace, whitespace JSON does not allow, and a byte order mark.
+    EDGES = [" ", "\t", "\r", "\x0c", "\x85", "\xa0", "\u3000", "\ufeff"]
+    BODIES = [
+        '{"id":"u","instructions":["a","b","a"]}',
+        '{"id":"u","instructions":["a"]} x',
+        '{"id":"u","instructions":["a"]}{"id":"v","instructions":["b"]}',
+        '{"id":"u","instructions":["a"]},{"id":"v","instructions":["b"]}',
+        '{"id":"u","instructions":["a"]}]',
+        '{"id":"u","instructions":["a"]',
+        '["a"]',
+        '"u"',
+        "1",
+        "null",
+        "",
+    ]
+    edge = st.lists(st.sampled_from(EDGES)).map("".join)
+
+    @given(st.lists(st.tuples(edge, st.sampled_from(BODIES), edge | st.text(max_size=2)), min_size=1, max_size=4))
+    def test_matches_json_loads(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("decode") / "c.jsonl"
+        text = "".join(
+            before + body.replace('"u"', f'"u{i}"').replace('"v"', f'"v{i}"') + after + "\n"
+            for i, (before, body, after) in enumerate(lines)
+        )
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(probsynth.corpus, "_decode_line", _json_loads_line):
+            expected = _units_or_error(path)
+        assert _units_or_error(path) == expected
+
+    def test_record_split_across_lines(self, tmp_path):
+        # Joined into one JSON array, these three lines would read as three records.
+        path = write_lines(
+            tmp_path / "c.jsonl",
+            [
+                '{"id":"a","instructions":["x"],"k":[{}',
+                "{}]}",
+                '{"id":"b","instructions":["y"]},{"id":"c","instructions":["z"]}',
+            ],
+        )
+        with pytest.raises(CorpusFormatError, match=r"^line 1: invalid JSON \(Expecting ',' delimiter\)$"):
+            load_corpus(path)
+
+    def test_load_streams(self, clustered_corpus, tmp_path):
+        # Reading the file whole before decoding holds more than its size again.
+        path = tmp_path / "c.jsonl"
+        save_corpus(clustered_corpus, path)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus == clustered_corpus
+        assert peak - retained < path.stat().st_size
+
+
 class TestProgramUnit:
     @pytest.mark.parametrize(
         "instructions,size",
@@ -142,6 +220,24 @@ class TestProgramUnit:
     )
     def test_pu_size(self, instructions, size):
         assert ProgramUnit("u", instructions).size == size
+
+    def test_rejects_non_str_token_equal_to_known_name(self):
+        class Twin:
+            """Hashes and compares as the name it carries, but is no str."""
+
+            def __init__(self, name):
+                self.name = name
+
+            def __hash__(self):
+                return hash(self.name)
+
+            def __eq__(self, other):
+                return other == self.name
+
+        ProgramUnit("u", ("add",))
+        assert Twin("add") in {"add"}
+        with pytest.raises(CorpusFormatError, match="instruction must be a non-empty string"):
+            ProgramUnit("v", ("add", Twin("add")))
 
     def test_rejects_whitespace_token(self):
         with pytest.raises(CorpusFormatError):

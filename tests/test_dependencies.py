@@ -1,4 +1,5 @@
-"""Runtime dependencies stay within the standard library."""
+"""Runtime dependencies stay within the standard library, and the sources
+within the oldest Python that pyproject.toml admits."""
 
 from __future__ import annotations
 
@@ -30,3 +31,9 @@ def test_sources_found():
 def test_imports_only_stdlib(path):
     outside = _imported_modules(path) - sys.stdlib_module_names - {"probsynth"}
     assert not outside, f"{path.name} imports non-stdlib modules {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,7 +89,24 @@ class TestSubsetProbs:
         assert ties > 0
 
 
+def counter_order_probability(table, instructions) -> float:
+    """Reference for solution_probability: the multiplicities from a Counter,
+    added one float at a time in its (first occurrence) order."""
+    total = 0.0
+    for instruction, multiplicity in Counter(instructions).items():
+        total += multiplicity * table.log10_probs[instruction]
+    return total
+
+
 class TestSolutionProbability:
+    def test_bit_equal_to_counter_order_on_readme_corpus(self, clustered_corpus, clustered_family):
+        scopes = [(global_instruction_probs(clustered_corpus), [u.id for u in clustered_corpus.units])]
+        scopes += [(subset_instruction_probs(clustered_corpus, s), s.covered_units) for s in clustered_family.subsets]
+        for table, unit_ids in scopes:
+            units = [clustered_corpus.unit_by_id[unit_id].instructions for unit_id in unit_ids]
+            expected = [counter_order_probability(table, instructions) for instructions in units]
+            assert [solution_probability(table, instructions) for instructions in units] == expected
+
     def test_product_of_halves(self):
         table = table_from_counts("global", {"a": 1, "b": 1})
         assert solution_probability(table, ["a", "b"]) == pytest.approx(math.log10(0.25), rel=1e-12)

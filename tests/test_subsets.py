@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probsynth import (
     Corpus,
@@ -14,6 +16,8 @@ from probsynth import (
     load_family,
     save_family,
 )
+
+from conftest import first_fit_reference
 
 
 def corpus_of(*units):
@@ -47,6 +51,30 @@ class TestClusterSubsets:
     def test_invalid_cap(self):
         with pytest.raises(ValueError):
             cluster_subsets(corpus_of(("u1", "a")), cap=0)
+
+
+def _family_or_error(cluster, corpus, cap):
+    try:
+        return cluster(corpus, cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFirstFitReference:
+    """cluster_subsets against the set-union first-fit of ``conftest``."""
+
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdefghijklmno"), min_size=1, max_size=14), min_size=1, max_size=40),
+        st.integers(1, 12),
+    )
+    def test_drawn_corpora(self, units, cap):
+        corpus = corpus_of(*((f"u{i}", instructions) for i, instructions in enumerate(units)))
+        expected = _family_or_error(first_fit_reference, corpus, cap)
+        assert _family_or_error(cluster_subsets, corpus, cap) == expected
+
+    @pytest.mark.parametrize("cap", [4, 10, 12])
+    def test_readme_corpus(self, clustered_corpus, cap):
+        assert cluster_subsets(clustered_corpus, cap) == first_fit_reference(clustered_corpus, cap)
 
 
 @pytest.fixture(scope="module")

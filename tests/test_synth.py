@@ -246,7 +246,7 @@ class TestSynthesize:
         assert solution_probability(table, report.solution) >= base - 1e-9
 
     def test_unsatisfiable_spec_exhausts_schedule(self, dsl_scopes):
-        spec = TestCaseSpec(cases=(TestCase((5,), "impossible"),))
+        spec = TestCaseSpec(cases=(TestCase((5,), [5]),))
         report = synthesize(spec, dsl_scopes, max_size=3)
         assert report.solution is None
         assert report.rounds == len(report.threshold_schedule_used)
@@ -297,7 +297,7 @@ class TestWideningSchedule:
     """synthesize's rounds: round r lowers every threshold by 2r orders of magnitude."""
 
     def test_step_sets_the_schedule(self, dsl_scopes):
-        spec = TestCaseSpec(cases=(TestCase((5,), "impossible"),))
+        spec = TestCaseSpec(cases=(TestCase((5,), [5]),))
         report = synthesize(spec, dsl_scopes, 3)
         assert report.rounds > 1
         assert report.threshold_schedule_used == [r * -2.0 for r in range(report.rounds)]
