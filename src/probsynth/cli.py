@@ -17,7 +17,6 @@ import math
 import os
 import statistics
 import sys
-import tempfile
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable
@@ -52,24 +51,22 @@ def _write_csv(header: list[str], rows: Iterable[Iterable], f: IO[str]) -> None:
 
 def _commit(outputs: _Outputs) -> None:
     """Write all of a command's (path, write) outputs or none: each ``write``
-    streams into a temp file next to its path, and only once every write has
-    succeeded are they renamed into place, with the mode a plain ``open``
-    would give (``mkstemp`` makes 0600). On failure no temp file is left, and
-    an ``OSError`` names its path. A path that is a directory fails before
-    any rename, as its own rename would fail after earlier ones."""
-    umask = os.umask(0)
-    os.umask(umask)
+    streams into a new temp file next to its path (created 0666, so the
+    kernel applies the umask as for a plain ``open``), and only once every
+    write has succeeded are they renamed into place. On failure no temp file
+    is left, and an ``OSError`` names its path. A path that is a directory
+    fails before any rename, as its own rename would fail after earlier ones."""
     staged: list[str] = []
     try:
         for path, write in outputs:
-            target = Path(path)
-            if target.is_dir():
+            if Path(path).is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+            tmp_name = f"{path}.{os.urandom(8).hex()}.tmp"
+            # O_EXCL refuses an existing path or symlink, so nothing planted there is written through.
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append(tmp_name)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
                 write(f)
-            os.chmod(tmp_name, 0o666 & ~umask)
         for tmp_name, (path, _) in zip(staged, outputs):
             os.replace(tmp_name, path)
     except OSError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -22,9 +22,6 @@ from typing import IO
 
 # Instructions per pool when generate_zipf_corpus draws from clusters.
 CLUSTER_SIZE = 10
-
-# Names that passed _check_token, which depends on the name alone: checked once per process.
-_VALID_NAMES: set[str] = set()
 
 # Configured as json.loads's own decoder; _decode_line runs its scanner on each corpus line.
 _DECODER = json.JSONDecoder()
@@ -57,15 +54,14 @@ class ProgramUnit:
             raise CorpusFormatError(f"program unit {self.id!r} has an empty instruction list")
         tokens = self.instructions
         try:
-            "".join(tokens)  # takes only strings: a non-str token equal to a known name must not pass
-            known = _VALID_NAMES.issuperset(tokens)
+            # join takes only strings; whitespace in any token is whitespace in the join.
+            joined = "".join(tokens)
+            valid = "" not in tokens and joined.split() == [joined]
         except TypeError:
-            known = False
-        if not known:
-            for token in tokens:
-                if type(token) is not str or token not in _VALID_NAMES:  # a list is unhashable
-                    _check_token(token, self.id)
-                    _VALID_NAMES.add(token)
+            valid = False
+        if not valid:
+            for token in tokens:  # names the first bad token
+                _check_token(token, self.id)
 
     @property
     def size(self) -> int:
@@ -81,19 +77,17 @@ class Corpus:
     """An ordered collection of program units with unique ids."""
 
     units: tuple[ProgramUnit, ...]
+    unit_by_id: dict[str, ProgramUnit] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.units:
             raise CorpusFormatError("empty corpus")
-        seen: set[str] = set()
+        unit_by_id: dict[str, ProgramUnit] = {}
         for unit in self.units:
-            if unit.id in seen:
+            if unit.id in unit_by_id:
                 raise CorpusFormatError(f"duplicate program unit id {unit.id!r}")
-            seen.add(unit.id)
-
-    @cached_property
-    def unit_by_id(self) -> dict[str, ProgramUnit]:
-        return {unit.id: unit for unit in self.units}
+            unit_by_id[unit.id] = unit
+        object.__setattr__(self, "unit_by_id", unit_by_id)
 
 
 def _decode_line(line: str, lineno: int) -> object:

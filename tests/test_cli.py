@@ -60,6 +60,17 @@ class TestGenCluster:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
+    def test_commands_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        corpus, family = tmp_path / "corpus.jsonl", tmp_path / "family.jsonl"
+        assert run(["gen", "--units", "200", "--alphabet", "120", "--exponent", "1.0", "--sizes", "1..30",
+                    "--seed", "11", "--clusters", "24", "-o", str(corpus)]) == 0
+        assert run(["cluster", "-i", str(corpus), "--cap", "10", "-o", str(family)]) == 0
+        assert load_family(family).subsets
+
     def test_gen_dsl_programs(self, tmp_path):
         out = tmp_path / "dsl.jsonl"
         assert run(["gen", "--units", "50", "--sizes", "1..5", "--seed", "3", "--dsl-programs", "-o", str(out)]) == 0

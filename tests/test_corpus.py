@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -92,19 +93,17 @@ class TestLoadCorpus:
         assert re.match(f"error: {diagnostic}", err) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_token_check_runs_once_per_name(self, tmp_path, monkeypatch):
-        corpus = generate_zipf_corpus(200, 30, 1.0, "1..10", seed=4)
-        path = tmp_path / "c.jsonl"
-        save_corpus(corpus, path)
+    def test_valid_corpus_never_runs_token_check(self, tmp_path, monkeypatch):
+        # Names no other test uses, written as JSON so that no unit is built
+        # from them before the load.
+        names = [f"only_in_this_test_{k}" for k in range(8)]
+        records = [{"id": f"u{k}", "instructions": names[k % 8 :] + names[: k % 3 + 1]} for k in range(40)]
+        path = write_lines(tmp_path / "c.jsonl", map(json.dumps, records))
         calls = []
-        check = probsynth.corpus._check_token
-        monkeypatch.setattr(probsynth.corpus, "_check_token", lambda *args: calls.append(check(*args)))
-        monkeypatch.setattr(probsynth.corpus, "_VALID_NAMES", set())
-        names = {name for unit in corpus.units for name in unit.instructions}
-        assert load_corpus(path) == corpus
-        assert len(calls) == len(names)
-        assert load_corpus(path) == corpus
-        assert len(calls) == len(names)
+        monkeypatch.setattr(probsynth.corpus, "_check_token", lambda *args: calls.append(args))
+        corpus = load_corpus(path)
+        assert calls == []
+        assert [list(unit.instructions) for unit in corpus.units] == [r["instructions"] for r in records]
 
     def test_bad_token_after_thousands_of_good_ones(self, tmp_path):
         corpus = generate_zipf_corpus(2_000, 30, 1.0, "1..10", seed=4)
@@ -125,6 +124,11 @@ class TestLoadCorpus:
         for _ in range(2):
             with pytest.raises(CorpusFormatError, match=f"^{re.escape(diagnostic)}$"):
                 load_corpus(path)
+
+    def test_first_repeated_id_is_named(self):
+        units = tuple(ProgramUnit(unit_id, ("x",)) for unit_id in "abba")
+        with pytest.raises(CorpusFormatError, match=r"^duplicate program unit id 'b'$"):
+            Corpus(units=units)
 
     def test_round_trip(self, tmp_path):
         units = (
@@ -259,6 +263,67 @@ class TestProgramUnit:
         else:
             rejected = False
         assert rejected == reference
+
+    class Name(str):
+        """A str subclass: _check_token accepts it as a string."""
+
+    SPACE_CHARS = SPACES[1:] + ["\x1d", "\x1e", "\x1f"]
+    TOKENS = (
+        st.sampled_from(SPACES + SPACE_CHARS)
+        | st.text(alphabet=st.sampled_from(SPACE_CHARS) | st.characters(), max_size=4)
+        | st.text(max_size=3).map(Name)
+        | st.none()
+        | st.integers()
+        | st.lists(st.text(max_size=2), max_size=2)
+    )
+
+    @given(st.lists(TOKENS, min_size=1, max_size=6).map(tuple))
+    @example(("a", ""))
+    @example(("a", 5, "b c"))
+    @example(("a\x1c", "b"))
+    def test_joined_check_agrees_with_token_loop(self, tokens):
+        """The joined test accepts a token tuple exactly when every token
+        passes _check_token, and a rejected tuple's error names the first
+        bad token, as the loop alone would."""
+        reference = None
+        for token in tokens:
+            try:
+                probsynth.corpus._check_token(token, "u")
+            except CorpusFormatError as exc:
+                reference = str(exc)
+                break
+        check = mock.Mock(side_effect=probsynth.corpus._check_token)
+        with mock.patch.object(probsynth.corpus, "_check_token", check):
+            try:
+                ProgramUnit("u", tokens)
+            except CorpusFormatError as exc:
+                error = str(exc)
+            else:
+                error = None
+        assert (check.call_count == 0) == (reference is None)
+        assert error == reference
+
+
+class TestCorpusIndex:
+    UNITS = (ProgramUnit("u1", ("a",)), ProgramUnit("u2", ("a", "b")))
+
+    def test_replace_rebuilds_index(self):
+        corpus = Corpus(units=self.UNITS)
+        other = ProgramUnit("u3", ("c",))
+        replaced = dataclasses.replace(corpus, units=(other,))
+        assert replaced.unit_by_id == {"u3": other}
+        assert corpus.unit_by_id.keys() == {"u1", "u2"}
+        with pytest.raises(CorpusFormatError, match="duplicate program unit id 'u1'"):
+            dataclasses.replace(corpus, units=self.UNITS + self.UNITS[:1])
+
+    def test_equality_hash_and_repr_ignore_index(self):
+        corpus = Corpus(units=self.UNITS)
+        twin = Corpus(units=self.UNITS)
+        assert corpus.unit_by_id is not twin.unit_by_id
+        object.__setattr__(twin, "unit_by_id", {})
+        assert corpus == twin
+        assert hash(corpus) == hash(twin) == hash((self.UNITS,))
+        assert repr(corpus) == f"Corpus(units={self.UNITS!r})"
 
 
 class TestSizeSpec:

@@ -162,11 +162,12 @@ def test_only_the_cli_prints():
 def test_one_write_path():
     # Commands return their outputs; only cli._commit creates, writes and
     # renames files into place.
-    for name in ("mkstemp", "fdopen", "os.replace"):
+    for name in ("os.open", "fdopen", "os.replace"):
         assert _calls(name) == [("cli.py", "_commit")], name
-    # The files commands read, and save_corpus, which bench/workloads.py
-    # calls with a path.
+    # _commit's os.open, the files commands read, and save_corpus, which
+    # bench/workloads.py calls with a path.
     assert _calls("open") == [
+        ("cli.py", "_commit"),
         ("corpus.py", "load_corpus"),
         ("corpus.py", "save_corpus"),
         ("subsets.py", "load_family"),
