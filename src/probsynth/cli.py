@@ -33,7 +33,7 @@ from .corpus import (
 from .probability import Scope, build_scopes, fmt12, scope_sources
 from .spacecount import measure
 from .subsets import SubsetFamily, cluster_subsets, load_family, save_family
-from .synth import load_test_spec, random_program_corpus, synthesize
+from .synth import MAX_PROGRAM_SIZE, load_test_spec, random_program_corpus, synthesize
 from .xval import validate
 
 
@@ -99,6 +99,7 @@ _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
 _non_negative_int = _ranged(int, lambda v: v >= 0, ">= 0")
 _positive_float = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _fraction = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
+_program_size = _ranged(int, lambda v: 1 <= v <= MAX_PROGRAM_SIZE, f"in 1..{MAX_PROGRAM_SIZE}")
 
 
 def _size_spec(text: str) -> SizeSpec:
@@ -179,26 +180,25 @@ def cmd_probs(args) -> _Outputs:
     return [(args.output, partial(_write_csv, ["scope", "instruction", "count", "log10_probability"], rows))]
 
 
-def _range_rows(scope: Scope, corpus: Corpus, max_size: int) -> Iterable[tuple]:
-    """The scope's ``--ranges`` rows, one per size 1..max_size: the lowest
-    and highest log10 solution probability its table allows (its least and
-    most probable instruction times the size), then the min, median and
-    max over its units of that size (empty cells when it has none) and
-    their number."""
+def _range_rows(scope: Scope, max_size: int) -> Iterable[tuple]:
+    """The scope's ``--ranges`` rows, one per size 1..max_size: the lowest and
+    highest log10 solution probability its table allows (its least and most
+    probable instruction times the size), its threshold, the median and max
+    over its units of that size (empty cells when it has none), their number."""
     observed: dict[int, list[float]] = {}
-    for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs):
-        observed.setdefault(corpus.unit_by_id[unit_id].size, []).append(log_prob)
-    table = scope.table
+    for unit, log_prob in zip(scope.units, scope.unit_log10_probs):
+        observed.setdefault(unit.size, []).append(log_prob)
     for size in range(1, max_size + 1):
-        logs = observed.get(size, [])
-        summary = [fmt12(min(logs)), fmt12(statistics.median(logs)), fmt12(max(logs))] if logs else [None] * 3
-        yield (table.scope, size, fmt12(size * table.min_log10), fmt12(size * table.max_log10), *summary, len(logs))
+        logs = observed.get(size)
+        summary = [fmt12(scope.thresholds[size]), fmt12(statistics.median(logs)), fmt12(max(logs))] if logs else [None] * 3
+        possible = (fmt12(size * scope.table.min_log10), fmt12(size * scope.table.max_log10))
+        yield (scope.table.scope, size, *possible, *summary, scope.support_counts.get(size, 0))
 
 
 def cmd_thresholds(args) -> _Outputs:
     corpus = load_corpus(args.input)
     scopes = build_scopes(corpus, _load_family_arg(args, corpus), args.scope, args.max_size)
-    if not any(scope.unit_ids for scope in scopes):
+    if not any(scope.units for scope in scopes):
         raise ValueError(f"no unit in scope {args.scope} has at most {args.max_size} instructions")
     rows = (
         (scope.table.scope, size, scope.support_counts[size], fmt12(threshold))
@@ -209,13 +209,13 @@ def cmd_thresholds(args) -> _Outputs:
     if args.ranges:
         header = ["scope", "size", "min_possible_log10", "max_possible_log10"]
         header += ["observed_min_log10", "observed_median_log10", "observed_max_log10", "n_observed"]
-        rows = (row for scope in scopes for row in _range_rows(scope, corpus, args.max_size))
+        rows = (row for scope in scopes for row in _range_rows(scope, args.max_size))
         outputs.append((args.ranges, partial(_write_csv, header, rows)))
     if args.pu_probs:
         rows = (
-            (scope.table.scope, unit_id, corpus.unit_by_id[unit_id].size, fmt12(log_prob))
+            (scope.table.scope, unit.id, unit.size, fmt12(log_prob))
             for scope in scopes
-            for unit_id, log_prob in zip(scope.unit_ids, scope.unit_log10_probs)
+            for unit, log_prob in zip(scope.units, scope.unit_log10_probs)
         )
         outputs.append((args.pu_probs, partial(_write_csv, ["scope", "pu_id", "size", "log10_probability"], rows)))
     return outputs
@@ -301,14 +301,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probs", help="instruction probability tables as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
+    p.add_argument("--scope", choices=["global", "subsets", "both"])
     _add_common_output(p)
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("thresholds", help="per-size solution probability thresholds as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
+    p.add_argument("--scope", choices=["global", "subsets", "both"])
     p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
     p.add_argument("--ranges", help="also write possible/observed probability ranges CSV here")
     p.add_argument("--pu-probs", help="also write per-unit solution probabilities CSV here")
@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="exact admissible-space sizes and reductions as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both", "auto"], default="auto")
+    p.add_argument("--scope", choices=["global", "subsets", "both"])
     p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
     # The work runs in one thread whatever this says. The option stays only
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="test-case spec JSON")
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
     p.add_argument("--cap", type=_positive_int, default=10)
-    p.add_argument("--max-size", type=_positive_int, default=5, help="largest program size to try")
+    p.add_argument("--max-size", type=_program_size, default=5, help=f"largest program size to try (1..{MAX_PROGRAM_SIZE})")
     p.add_argument("--no-prune", action="store_true", help="no thresholds: every size at its floor (IS space only)")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)
@@ -358,8 +358,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"argument --{name}: not allowed with argument --dsl-programs")
         if args.clusters and args.alphabet is not None and args.alphabet < CLUSTER_SIZE:
             parser.error(f"argument --alphabet: must be >= {CLUSTER_SIZE} when --clusters is above 0, got {args.alphabet}")
-    scope = getattr(args, "scope", None)
-    if scope == "auto":
+    scope = getattr(args, "scope", "global")
+    if scope is None:
         args.scope = "both" if args.family else "global"
     elif scope in ("subsets", "both") and not args.family:
         parser.error(f"argument --scope: {scope} requires --family")

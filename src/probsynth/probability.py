@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, ProgramUnit
 from .subsets import InstructionSubset, SubsetFamily
 
 # Log-domain slack applied toward inclusion in threshold comparisons.
@@ -93,8 +93,11 @@ def global_instruction_probs(corpus: Corpus) -> ProbabilityTable:
 def subset_instruction_probs(corpus: Corpus, subset: InstructionSubset) -> ProbabilityTable:
     """Instruction probabilities over the units covered by one subset, of
     every size (the paper's per-IS formulation), labelled "is:<subset id>"."""
-    units = (corpus.unit_by_id[unit_id] for unit_id in subset.covered_units)
-    return table_from_counts(f"is:{subset.id}", Counter(chain.from_iterable(unit.instructions for unit in units)))
+    return _subset_table(subset.id, (corpus.unit_by_id[unit_id] for unit_id in subset.covered_units))
+
+
+def _subset_table(subset_id: int, units: Iterable[ProgramUnit]) -> ProbabilityTable:
+    return table_from_counts(f"is:{subset_id}", Counter(chain.from_iterable(unit.instructions for unit in units)))
 
 
 def solution_probability(table: ProbabilityTable, instructions: Iterable[str]) -> float:
@@ -123,16 +126,16 @@ class Scope:
     """One probability scope: the whole corpus (``subset_id`` None) or one
     instruction subset.
 
-    ``unit_ids`` are the scope's units of at most the builder's max size,
-    in scope order, and ``unit_log10_probs`` their solution probabilities
-    under ``table``, position for position. ``thresholds`` maps each size
-    those units have to the least of their probabilities at that size, and
-    ``support_counts`` to how many units that minimum ranged over.
+    ``units`` are the scope's units of at most the builder's max size, the
+    corpus's own objects in scope order, and ``unit_log10_probs`` their
+    probabilities under ``table``, position for position. ``thresholds``
+    maps each size those units have to the least of their probabilities at
+    that size, and ``support_counts`` to how many units it ranged over.
     """
 
     subset_id: int | None
     table: ProbabilityTable
-    unit_ids: tuple[str, ...]
+    units: tuple[ProgramUnit, ...]
     unit_log10_probs: array
     thresholds: dict[int, float]
     support_counts: dict[int, int]
@@ -156,16 +159,13 @@ def size_minima(pairs: Iterable[tuple[int, float]]) -> tuple[dict[int, float], d
     return {s: minima[s] for s in ordered}, {s: support[s] for s in ordered}
 
 
-def _scope(
-    corpus: Corpus, subset_id: int | None, table: ProbabilityTable, scope_units: Iterable[str], max_size: int
-) -> Scope:
-    """The scope over those of ``scope_units`` with at most ``max_size``
+def _scope(subset_id: int | None, table: ProbabilityTable, units: Iterable[ProgramUnit], max_size: int) -> Scope:
+    """The scope over those of ``units`` with at most ``max_size``
     instructions, their log10 solution probabilities and per-size minima."""
-    units = [corpus.unit_by_id[unit_id] for unit_id in scope_units]
-    units = [unit for unit in units if len(unit.instructions) <= max_size]
+    units = tuple(unit for unit in units if len(unit.instructions) <= max_size)
     log_probs = array("d", (solution_probability(table, unit.instructions) for unit in units))
     thresholds, support_counts = size_minima(zip((len(unit.instructions) for unit in units), log_probs))
-    return Scope(subset_id, table, tuple(unit.id for unit in units), log_probs, thresholds, support_counts)
+    return Scope(subset_id, table, units, log_probs, thresholds, support_counts)
 
 
 def derive_thresholds(
@@ -183,26 +183,27 @@ def derive_thresholds(
     """
     if not scope_units:
         raise ValueError("scope_units must be non-empty")
-    return _scope(corpus, None, table, scope_units, max_size)
+    return _scope(None, table, (corpus.unit_by_id[unit_id] for unit_id in scope_units), max_size)
 
 
 def scope_sources(
     corpus: Corpus, family: SubsetFamily | None, which: str
-) -> list[tuple[int | None, ProbabilityTable, Sequence[str]]]:
-    """The ``(subset_id, table, unit_ids)`` of the global scope, the family's
+) -> list[tuple[int | None, ProbabilityTable, Sequence[ProgramUnit]]]:
+    """The ``(subset_id, table, units)`` of the global scope, the family's
     subset scopes in family order, or both (``which`` = "global", "subsets"
     or "both"): each scope's table and all of its units."""
     if which not in (GLOBAL_SCOPE, "subsets", "both"):
         raise ValueError(f"unknown scope selection {which!r}")
     sources = []
     if which in (GLOBAL_SCOPE, "both"):
-        sources.append((None, global_instruction_probs(corpus), [u.id for u in corpus.units]))
+        sources.append((None, global_instruction_probs(corpus), corpus.units))
     if which in ("subsets", "both"):
-        sources.extend((s.id, subset_instruction_probs(corpus, s), s.covered_units) for s in family.subsets)
+        units = [[corpus.unit_by_id[unit_id] for unit_id in s.covered_units] for s in family.subsets]
+        sources.extend((s.id, _subset_table(s.id, u), u) for s, u in zip(family.subsets, units))
     return sources
 
 
 def build_scopes(corpus: Corpus, family: SubsetFamily | None, which: str, max_size: int) -> list[Scope]:
     """The scopes ``scope_sources`` selects, with thresholds for sizes up to
     ``max_size``."""
-    return [_scope(corpus, *source, max_size) for source in scope_sources(corpus, family, which)]
+    return [_scope(*source, max_size) for source in scope_sources(corpus, family, which)]

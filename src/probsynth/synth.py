@@ -75,6 +75,11 @@ LIST_LIMIT = 1024
 # How far each widening round lowers every threshold, in log10.
 WIDENING_STEP_LOG10 = -2.0
 
+# The largest max_size synthesize takes. The search recurses once per
+# instruction of a prefix, so this stays well under Python's default
+# recursion limit of 1000, with room for the callers' frames.
+MAX_PROGRAM_SIZE = 256
+
 # Frontier tags: the first child a round did not generate (an interior or
 # leaf cut); a prefix whose own candidate was below its test bound; such a
 # prefix whose subtree the dominance rule skipped.
@@ -321,10 +326,11 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     subtrees it skips, whose roots are still counted as expanded.
 
     Raises ValueError, before any search, when ``max_size`` is below 1 or
-    a scope holds an instruction outside the DSL.
+    above ``MAX_PROGRAM_SIZE``, or a scope holds an instruction outside the
+    DSL.
     """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    if not 1 <= max_size <= MAX_PROGRAM_SIZE:
+        raise ValueError(f"max_size must be in 1..{MAX_PROGRAM_SIZE}, got {max_size}")
 
     searches = [_SubsetSearch(scope, max_size) for scope in scopes]
 

@@ -74,7 +74,7 @@ def validate(
     units = corpus.units
     sizes = [unit.size for unit in units]
     [scope] = build_scopes(corpus, None, GLOBAL_SCOPE, max_size)
-    by_id = dict(zip(scope.unit_ids, scope.unit_log10_probs))
+    by_id = dict(zip((unit.id for unit in scope.units), scope.unit_log10_probs))
     log_probs = [by_id.get(unit.id) for unit in units]
     return [
         _split_result(fraction, sizes, log_probs, _split_indices(len(units), fraction, seed))

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from probsynth import build_scopes, cli, cluster_subsets, load_corpus, load_family, synthesize
-from probsynth.synth import TestCase, TestCaseSpec, load_test_spec
+from probsynth import build_scopes, cli, cluster_subsets, evaluate, load_corpus, load_family, synthesize
+from probsynth.synth import MAX_PROGRAM_SIZE, TestCase, TestCaseSpec, load_test_spec
 
 from conftest import write_spec
 
@@ -137,10 +137,12 @@ class TestExitCodes:
             ["measure", "--sizes", "1..2", "--cap", "0"],
             ["validate", "--fractions", "0.5", "--max-size", "0", "--seed", "1"],
             ["validate", "--fractions", "0,0.5", "--seed", "1"],
+            # "auto" is no scope: leaving --scope out picks one.
+            ["measure", "--sizes", "1..2", "--scope", "auto"],
         ],
         ids=[
             "threads-0", "threads-negative", "sizes-from-0", "cap-0",
-            "validate-max-size-0", "fraction-0",
+            "validate-max-size-0", "fraction-0", "scope-auto",
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, args):
@@ -182,6 +184,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err.splitlines()[-1]
         assert not out.exists()
+
+    def test_synth_max_size_above_bound_is_usage_error(self, tmp_path, capsys):
+        # Rejected before any file is read: neither input exists.
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "synth", "--spec", str(tmp_path / "spec.json"), "-i", str(tmp_path / "dsl.jsonl"),
+                "--max-size", str(MAX_PROGRAM_SIZE + 1), "-o", str(out),
+            ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --max-size: must be in 1..{MAX_PROGRAM_SIZE}, got {MAX_PROGRAM_SIZE + 1}"
+        )
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "args",
@@ -558,9 +574,21 @@ class TestSynthCommand:
         ]) == 0
         report = json.loads(report_path.read_text())
         assert report["solution"] is not None
-        from probsynth import evaluate
-
         assert evaluate(report["solution"], ()) == 3
+
+    def test_max_size_at_bound_solves_readme_demo(self, tmp_path):
+        # The search recurses once per instruction; at the bound it must
+        # stay inside the recursion limit, pytest's frames included.
+        corpus_path, spec_path, report_path = tmp_path / "dsl.jsonl", tmp_path / "spec.json", tmp_path / "report.json"
+        run(["gen", "--units", "1000", "--sizes", "1..6", "--seed", "29", "--dsl-programs", "-o", str(corpus_path)])
+        write_spec(TestCaseSpec(cases=(TestCase((), 3),)), spec_path)
+        assert run([
+            "synth", "--spec", str(spec_path), "-i", str(corpus_path),
+            "--cap", "10", "--max-size", str(MAX_PROGRAM_SIZE), "-o", str(report_path),
+        ]) == 0
+        solution = json.loads(report_path.read_text())["solution"]
+        assert solution is not None and len(solution) <= MAX_PROGRAM_SIZE
+        assert evaluate(solution, ()) == 3
 
     def test_no_prune_flag(self, tmp_path):
         corpus_path = tmp_path / "dsl.jsonl"

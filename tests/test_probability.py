@@ -213,17 +213,16 @@ class TestBuildScopes:
             derived = derive_thresholds(corpus, table, unit_ids, 20)
             assert derived.subset_id is None
             assert scope == dataclasses.replace(derived, subset_id=scope.subset_id)
-            kept = [uid for uid in unit_ids if corpus.unit_by_id[uid].size <= 20]
-            assert list(scope.unit_ids) == kept
-            assert list(scope.unit_log10_probs) == [
-                solution_probability(table, corpus.unit_by_id[uid].instructions) for uid in kept
-            ]
+            kept = [corpus.unit_by_id[uid] for uid in unit_ids if corpus.unit_by_id[uid].size <= 20]
+            # The corpus's own unit objects, not copies.
+            assert len(scope.units) == len(kept) and all(a is b for a, b in zip(scope.units, kept))
+            assert list(scope.unit_log10_probs) == [solution_probability(table, unit.instructions) for unit in kept]
 
     def test_without_thresholds(self, clustered_corpus):
         [scope] = build_scopes(clustered_corpus, None, "global", 30)
         bare = scope.without_thresholds()
         assert bare.thresholds == {} and bare.support_counts == {}
-        assert bare.table == scope.table and bare.unit_ids == scope.unit_ids
+        assert bare.table == scope.table and bare.units == scope.units
 
     def test_unknown_selection_rejected(self, clustered_corpus):
         with pytest.raises(ValueError, match="scope selection"):
@@ -271,3 +270,25 @@ class TestProbabilityRange:
         assert float(row["min_possible_log10"]) <= low <= mid <= high <= float(row["max_possible_log10"])
         for size in (2, 4):
             assert [rows[size][key] for key in list(row)[4:]] == ["", "", "", "0"]
+
+    def test_ranges_agree_with_thresholds_on_readme_corpus(self, tmp_path, clustered_corpus):
+        # The observed minimum and count of each (scope, size) are its
+        # threshold and support; both are empty and 0 where it has none.
+        corpus_path, family_path = tmp_path / "c.jsonl", tmp_path / "f.jsonl"
+        thresholds, ranges = tmp_path / "thr.csv", tmp_path / "ranges.csv"
+        save_corpus(clustered_corpus, corpus_path)
+        assert cli.main(["cluster", "-i", str(corpus_path), "--cap", "10", "-o", str(family_path)]) == 0
+        assert cli.main([
+            "thresholds", "-i", str(corpus_path), "--family", str(family_path), "--max-size", "30",
+            "--ranges", str(ranges), "-o", str(thresholds),
+        ]) == 0
+        expected = {
+            (row["scope"], row["size"]): (row["log10_probability"], row["count"])
+            for row in csv.DictReader(thresholds.read_text().splitlines())
+        }
+        rows = list(csv.DictReader(ranges.read_text().splitlines()))
+        assert len({row["scope"] for row in rows}) == 25 and len(rows) == 25 * 30
+        observed = {(row["scope"], row["size"]): (row["observed_min_log10"], row["n_observed"]) for row in rows}
+        assert expected.keys() < observed.keys()
+        for key, value in observed.items():
+            assert value == expected.get(key, ("", "0")), key

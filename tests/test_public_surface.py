@@ -1,7 +1,7 @@
 """Every public function, class and method has a caller outside the tests,
 every import is read where it is bound, every CSV artifact goes through
-one writer, every output file through one write path, and only the CLI
-prints.
+one writer, every output file through one write path, only the CLI
+prints, and no code downstream of the scopes looks up a unit id.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
@@ -173,3 +173,18 @@ def test_one_write_path():
         ("subsets.py", "load_family"),
         ("synth.py", "load_test_spec"),
     ]
+
+
+def test_ids_become_units_before_scopes():
+    # A scope carries its units, so an id is looked up only where units
+    # are made (corpus, probability.build_scopes) and where the CLI checks
+    # a --family file against its corpus; nothing downstream of
+    # build_scopes turns an id back into a unit.
+    readers = {
+        (path.name, enclosing[-1].name if enclosing else "")
+        for path in SOURCES
+        for name, _, enclosing in _names(path)[1]
+        if name == "unit_by_id"
+    }
+    outside = {(path, function) for path, function in readers if path not in ("corpus.py", "probability.py")}
+    assert outside == {("cli.py", "_load_family_arg")}

@@ -309,8 +309,7 @@ class TestIntegerProducts:
             table = scope.table
             counter = _Counter(table, {s: t for s, t in scope.thresholds.items() if s <= 6})
             least: dict[int, int] = {}
-            for unit_id in scope.unit_ids:
-                unit = clustered_corpus.unit_by_id[unit_id]
+            for unit in scope.units:
                 if unit.size <= 6:
                     product = math.prod(table.counts[i] for i in unit.instructions)
                     least[unit.size] = min(least.get(unit.size, product), product)

@@ -29,7 +29,7 @@ from probsynth import (
     synthesize,
 )
 from probsynth.probability import LOG10_SLACK
-from probsynth.synth import _step, _SubsetSearch, _values_equal, load_test_spec
+from probsynth.synth import MAX_PROGRAM_SIZE, _step, _SubsetSearch, _values_equal, load_test_spec
 
 from conftest import cases_from_program, satisfies, write_spec
 
@@ -282,6 +282,11 @@ class TestSynthesize:
         report = synthesize(TestCaseSpec(cases=(TestCase((), output),)), [scope], max_size)
         assert report.solution == (first,)
 
+    @pytest.mark.parametrize("max_size", [0, MAX_PROGRAM_SIZE + 1])
+    def test_max_size_out_of_bounds_rejected(self, dsl_scopes, max_size):
+        with pytest.raises(ValueError, match=rf"max_size must be in 1\.\.{MAX_PROGRAM_SIZE}, got {max_size}"):
+            synthesize(TestCaseSpec(cases=(TestCase((), 3),)), dsl_scopes, max_size)
+
     def test_report_json_round_trip(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 2),))
         report = synthesize(spec, dsl_scopes, max_size=2)
@@ -319,57 +324,14 @@ class TestWideningSchedule:
         assert active[1:] == search.floors[1:]
 
 
-def _plain_dfs_subset(search, spec, max_size, active, tail_min, counters):
-    """The depth-first search without the dominance rule, as it was before
-    the rule: the oracle showing that the rule neither loses nor changes a
-    solution."""
-    order = [instruction for instruction, _, _, _ in search.steps]
-    logps = {instruction: logp for instruction, logp, _, _ in search.steps}
-    expected = [case.expected for case in spec.cases]
-
-    def rec(prefix, logp, states):
-        length = len(prefix) + 1
-        for instruction in order:
-            child_logp = logp + logps[instruction]
-            if child_logp < tail_min[length] - LOG10_SLACK:
-                counters["pruned"] += 1
-                continue
-            counters["expanded"] += 1
-            child_states = []
-            alive = False
-            for state in states:
-                if state is None:
-                    child_states.append(None)
-                    continue
-                new_state = list(state)
-                if _step(new_state, instruction) is not None:
-                    child_states.append(None)
-                else:
-                    child_states.append(new_state)
-                    alive = True
-            if child_logp >= active[length] - LOG10_SLACK:
-                if all(
-                    state is not None and state and _values_equal(state[-1], exp)
-                    for state, exp in zip(child_states, expected)
-                ):
-                    return tuple(prefix + [instruction])
-            if length < max_size and alive:
-                prefix.append(instruction)
-                found = rec(prefix, child_logp, child_states)
-                prefix.pop()
-                if found is not None:
-                    return found
-        return None
-
-    return rec([], 0.0, [list(case.inputs) for case in spec.cases])
-
-
-def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune=True):
+def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune=True, dedupe=True):
     """The search loop before the leaf short-circuit, the step table and the
     sorted-tail cut: every expanded child, leaves included, is stepped
     through ``_step`` on every case, and every cut child is looked at. The
     oracle for exact reports, node counters included. With ``prune=False``
-    it never cuts a branch: the uncut search of ``uncut_synthesize``."""
+    it never cuts a branch: the uncut search of ``uncut_synthesize``. With
+    ``dedupe=False`` it has no dominance rule, as before the rule: the
+    oracle showing that the rule neither loses nor changes a solution."""
     order = [instruction for instruction, _, _, _ in search.steps]
     logps = {instruction: logp for instruction, logp, _, _ in search.steps}
     expected = [case.expected for case in spec.cases]
@@ -403,7 +365,7 @@ def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, pr
                 ):
                     return tuple(prefix + [instruction])
             if length < max_size and alive:
-                if level is not None:
+                if dedupe and level is not None:
                     key = repr(child_states)
                     best = level.get(key)
                     if best is not None and best >= child_logp:
@@ -440,7 +402,7 @@ def _check_against_oracles(spec, scopes, max_size):
     with pytest.MonkeyPatch.context() as m:
         m.setattr("probsynth.synth._dfs_subset", _reference_dfs_subset)
         reference = synthesize(spec, scopes, max_size)
-        m.setattr("probsynth.synth._dfs_subset", _plain_dfs_subset)
+        m.setattr("probsynth.synth._dfs_subset", functools.partial(_reference_dfs_subset, dedupe=False))
         plain = synthesize(spec, scopes, max_size)
     uncut = uncut_synthesize(spec, scopes, max_size)
     if report.rounds == 1:
