@@ -30,19 +30,24 @@ the first child below the cut ends its level: the rest are counted as cut
 without being looked at.
 
 A child's verdict depends only on its parent's stack in each case, so
-the search tests stacks rather than candidates. Per test case it keeps a
-memo from a stack's ``repr`` to its solve mask, whose bit i is set when
-step i leaves that case's expected output on top. A mask is computed
+the search tests stacks rather than candidates. A stack's solve mask has
+bit i set when step i leaves that case's expected output on top, and it
+reads no deeper than the stack's top two values: every step takes at
+most two arguments, and the one step that pushes nothing, ``drop``, takes
+one and exposes the value below it. So per test case the search keeps a
+memo from the ``repr`` of a stack's top two values to the mask computed
+from those two alone; stacks that differ only lower down share one
+entry, and the key is the whole input of the mask. A mask is computed
 once per ``synthesize`` call, however many prefixes and rounds reach its
-stack, and a candidate solves the spec when its bit is set in its
+pair, and a candidate solves the spec when its bit is set in its
 parent's mask for every case. A child of ``max_size`` instructions is
 never extended, so no stack state is kept for it: its level is tested as
 one AND of its parent's masks over the children above the cut, stopped
 at the first case that zeroes it, and the parent is stepped one case at
 a time, only as far as that AND reaches. The memo grows with the
-distinct stacks met: on the benchmark's size-6 spec, its largest search,
-one scope holds at most 4,477 case-0 entries at seed 0 and 6,935 over
-seeds 0-9.
+distinct top pairs met: on the benchmark's size-6 spec, its largest
+search, one scope holds at most 211 case-0 entries at seed 0 and 508
+over seeds 0-9.
 
 Within one subset and round, a prefix whose stack states on every test
 case equal those of an earlier prefix of the same length, at no higher
@@ -283,9 +288,10 @@ class _SubsetSearch:
         # their tags (_CUT, _UNTESTED, _SKIPPED). Before round 1 it is the
         # cut at the root's first child: every node is new.
         self.frontier = ([self.units[1]], [_CUT])
-        # Per test case: repr(stack) -> the solve mask of that stack for
-        # the case's expected output (``_solve_mask``). A mask outlives
-        # its round, so no later round computes it again.
+        # Per test case: repr(stack[-2:]) -> the solve mask of those top
+        # two values for the case's expected output (``_solve_mask``),
+        # which is the whole stack's: no step reads deeper. A mask
+        # outlives its round, so no later round computes it again.
         self.masks: dict[int, dict[str, int]] = defaultdict(dict)
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
@@ -379,7 +385,8 @@ def _stepped(state: list | None, arity: int, fn) -> list | None:
 
 def _solve_mask(steps: list, state: list, expected) -> int:
     """The steps that leave ``expected`` on top of ``state``: bit i is set
-    when ``steps[i]`` does."""
+    when ``steps[i]`` does. No step reads below the top two values, so
+    ``state[-2:]`` gives the same mask."""
     mask = 0
     depth = len(state)
     for i, (_, _, arity, fn) in enumerate(steps):
@@ -451,10 +458,11 @@ def _dfs_subset(
                 state = _stepped(states[c], arity, fn) if fn else states[c]
             if state is None:
                 return 0
-            state_key = repr(state)
-            case_mask = memo.get(state_key)
+            top = state[-2:]
+            top_key = repr(top)
+            case_mask = memo.get(top_key)
             if case_mask is None:
-                case_mask = memo[state_key] = _solve_mask(steps, state, expected[c])
+                case_mask = memo[top_key] = _solve_mask(steps, top, expected[c])
             mask &= case_mask
             if not mask:
                 return 0

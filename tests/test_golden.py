@@ -4,6 +4,10 @@ were recorded.
 
 The digests were recorded before the CSV writers moved into ``cli``; any
 change to an artifact's format, row order or float rendering shows here.
+The README's synthesizer demo report, with and without ``--no-prune``, is
+pinned the same way, so a change to the search that should leave its
+reports alone is checked here; one that changes them on purpose records
+them again and says why.
 """
 
 from __future__ import annotations
@@ -55,3 +59,24 @@ def _pipeline(tmp_path) -> dict[str, str]:
 
 def test_pipeline_artifacts_match_recorded_bytes(tmp_path):
     assert _pipeline(tmp_path) == GOLDEN
+
+
+# The README synth demo. Both reports are the same bytes: the search
+# solves the spec before any threshold cuts a node.
+GOLDEN_SYNTH = {
+    "report.json": "1b61244c77c2222801922986767cba9a94d87c487ccbf0eba0824367a98e8f89",
+    "report-no-prune.json": "1b61244c77c2222801922986767cba9a94d87c487ccbf0eba0824367a98e8f89",
+}
+
+
+def test_synth_demo_reports_match_recorded_bytes(tmp_path):
+    dsl, spec = tmp_path / "dsl.jsonl", tmp_path / "spec.json"
+    assert cli.main(["gen", "--units", "1000", "--sizes", "1..6", "--seed", "29", "--dsl-programs",
+                     "-o", str(dsl)]) == 0
+    spec.write_text('{"cases": [{"inputs": [], "output": 3}]}\n')
+    for name, extra in (("report.json", []), ("report-no-prune.json", ["--no-prune"])):
+        argv = ["synth", "--spec", str(spec), "-i", str(dsl), "--cap", "10", "--max-size", "3",
+                "-o", str(tmp_path / name), *extra]
+        assert cli.main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SYNTH}
+    assert digests == GOLDEN_SYNTH

@@ -29,7 +29,7 @@ from probsynth import (
     synthesize,
 )
 from probsynth.probability import LOG10_SLACK
-from probsynth.synth import MAX_PROGRAM_SIZE, _step, _SubsetSearch, _values_equal, load_test_spec
+from probsynth.synth import MAX_PROGRAM_SIZE, _OPS, _solve_mask, _step, _SubsetSearch, _values_equal, load_test_spec
 
 from conftest import cases_from_program, satisfies, write_spec
 
@@ -598,10 +598,10 @@ class TestSolveMasks:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_floor_sweep_compares_each_stack_once(self, planted_fixture, seed, monkeypatch):
-        # A stack's mask is computed once per case, and a leaf parent's
-        # later cases only while the AND of masks is nonzero: one sweep at
-        # the floors made 9,972 and 13,961 comparisons at seeds 0 and 1,
-        # where testing each candidate on its own made 24,721.
+        # A mask is computed once per case and pair of top values, and a
+        # leaf parent's later cases only while the AND of masks is nonzero:
+        # one sweep at the floors made 2,922 and 6,571 comparisons at seeds
+        # 0 and 1, where testing each candidate on its own made 24,721.
         calls = 0
 
         def counting(result, expected):
@@ -613,6 +613,24 @@ class TestSolveMasks:
         report = synthesize(_unsatisfiable_spec(seed), _scopes(planted_fixture[0], False), 4)
         assert report.solution is None and report.rounds == 1
         assert 0 < calls <= 0.6 * 24_721
+
+    @pytest.mark.parametrize("seed, whole_stack_calls", [(0, 1_037), (1, 1_463)])
+    def test_floor_sweep_computes_masks_per_top_pair(self, planted_fixture, seed, whole_stack_calls, monkeypatch):
+        # Stacks that differ only below their top two values share one
+        # mask: one sweep at the floors computes 316 and 708 masks at seeds
+        # 0 and 1, where a memo keyed by the whole stack computed 1,037
+        # and 1,463.
+        calls = 0
+
+        def counting(steps, state, expected):
+            nonlocal calls
+            calls += 1
+            return _solve_mask(steps, state, expected)
+
+        monkeypatch.setattr("probsynth.synth._solve_mask", counting)
+        report = synthesize(_unsatisfiable_spec(seed), _scopes(planted_fixture[0], False), 4)
+        assert report.solution is None and report.rounds == 1
+        assert 0 < calls <= whole_stack_calls / 2
 
 
 _SMALL_VALUES = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3))
@@ -639,3 +657,41 @@ class TestDominanceProperty:
     @given(small_specs(), st.integers(1, 5), st.booleans())
     def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, thresholds):
         _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
+
+
+_EDGE_INTS = (0, 1, -1, 2**63 - 1, -(2**63 - 1))
+_STACK_VALUES = st.one_of(
+    st.sampled_from(_EDGE_INTS),
+    st.integers(-9, 9),
+    st.lists(st.one_of(st.integers(-9, 9), st.sampled_from(_EDGE_INTS)), max_size=4),
+)
+
+
+@st.composite
+def stacks_and_expected(draw):
+    """A stack of zero to five DSL values and an expected output, drawn from
+    the stack's own values or from small integers and lists."""
+    stack = draw(st.lists(_STACK_VALUES, max_size=5))
+    choices = [_SMALL_VALUES] + ([st.sampled_from(stack)] if stack else [])
+    return stack, draw(st.one_of(*choices))
+
+
+class TestSolveMaskReadsTopTwo:
+    """The search keys each case's solve masks by the ``repr`` of a stack's
+    top two values. That is exact because a mask reads no deeper: every op
+    takes at most two arguments, and the one step that pushes nothing,
+    ``drop``, exposes the value second from the top."""
+
+    def test_no_op_takes_more_than_two_arguments(self):
+        # An op that reads deeper would make the memo's key too short.
+        assert max(arity for arity, _ in _OPS.values()) <= 2
+
+    # Derandomized, like TestDominanceProperty, so a run's draws repeat.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data(), stacks_and_expected())
+    def test_mask_of_the_top_two_values_is_the_stacks(self, dsl_scopes, data, drawn):
+        tables = [_SubsetSearch(scope, 1).steps for scope in dsl_scopes]
+        tables.append([(name, 0.0, *_OPS[name]) for name in DSL_ALPHABET])
+        steps = data.draw(st.sampled_from(tables))
+        stack, expected = drawn
+        assert _solve_mask(steps, stack, expected) == _solve_mask(steps, stack[-2:], expected)
