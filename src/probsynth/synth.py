@@ -5,29 +5,29 @@ stack language over integers and integer lists. Evaluation faults (stack
 underflow, type mismatch, overflow, empty-list access) are ordinary values
 rather than exceptions, so candidate programs can be executed blindly.
 
-The synthesizer walks each subset scope (``probability.build_scopes``) in
-turn, extending partial programs depth-first in descending
-instruction-probability order and testing each generated candidate that
-clears the threshold for its size.
-A partial of length L is cut when its solution probability falls below
-every threshold it could still reach (the per-size thresholds for sizes L
-and up); since adding instructions only lowers the probability, this cut
-never removes a candidate the thresholds admit. If a full sweep at one
-threshold level fails, all thresholds are widened by a fixed log10 step
-(``WIDENING_STEP_LOG10``, two orders of magnitude) and the sweep repeats,
-down to the minimum possible probability per size (its floor). A size
-with no threshold sits at its floor from the start, so scopes without
-thresholds search the whole subset space in one round. A round tests only
-the candidates its thresholds newly admit: those the round before admitted
-are known to fail, as it found no solution. It resumes from the frontier
-the round before left (its cuts, its prefixes below their test bound, and
-those among them whose subtrees it skipped), so it visits only the nodes
-that lead to something new, as fringe search does for iterative deepening.
+The synthesizer enumerates the candidates of every subset scope
+(``probability.build_scopes``) best-first, from one heap, and returns the
+passing candidate with the least key (round, -log10 p, scope index,
+path), its path being its step indices in the scope's table: the most
+probable program in the earliest round that admits one. Round r lowers
+every size's threshold by r widening steps (``WIDENING_STEP_LOG10``, two
+orders of magnitude), down to the minimum possible probability at that
+size (its floor), and the first round with every scope at its floors is
+the last. A candidate's round is the first that admits it at its own
+size. A size with no threshold sits at its floor from the start, so
+scopes without thresholds have one round.
 
-Children are generated in descending log-probability, and adding a fixed
-log-probability to each keeps that order (float addition is monotone), so
-the first child below the cut ends its level: the rest are counted as cut
-without being looked at.
+Partial programs (prefixes) share the heap. A prefix's round is the first
+whose cut it clears: its probability is at or above a threshold it could
+still reach (those for its length and up). Adding an instruction lowers
+the probability and raises the length, so neither the round nor
+-log10 p falls along an extension and the path only grows: no item's key
+is below that of the prefix that pushed it, and the first passing
+candidate popped has the least key, as in A* with an admissible bound.
+Each prefix is popped at most once for the whole schedule. Steps come in
+descending log-probability, so a popped prefix pushes its next sibling,
+keyed by the parent's log-probability plus the next step's, and, once
+opened, its first child: the heap holds about one item per open parent.
 
 A child's verdict depends only on its parent's stack in each case, so
 the search tests stacks rather than candidates. A stack's solve mask has
@@ -39,25 +39,23 @@ memo from the ``repr`` of a stack's top two values to the mask computed
 from those two alone; stacks that differ only lower down share one
 entry, and the key is the whole input of the mask. A mask is computed
 once per ``synthesize`` call, however many prefixes and rounds reach its
-pair, and a candidate solves the spec when its bit is set in its
-parent's mask for every case. A child of ``max_size`` instructions is
-never extended, so no stack state is kept for it: its level is tested as
-one AND of its parent's masks over the children above the cut, stopped
-at the first case that zeroes it, and the parent is stepped one case at
-a time, only as far as that AND reaches. The memo grows with the
-distinct top pairs met: on the benchmark's size-6 spec, its largest
-search, one scope holds at most 211 case-0 entries at seed 0 and 508
-over seeds 0-9.
+pair. A child solves the spec when its bit is set in its parent's mask
+for every case, so opening a prefix pushes only its first such child,
+as a candidate: the candidates pushed all pass. A prefix of
+``max_size - 1`` instructions (a leaf parent) keeps no stack state: it
+is stepped one case at a time, only as far as the AND of its masks
+reaches.
 
-Within one subset and round, a prefix whose stack states on every test
-case equal those of an earlier prefix of the same length, at no higher
-log-probability, is still tested but its subtree is skipped: the earlier
-prefix's subtree holds a twin of every completion, with the same outputs
-and at least the same probability at every length, and was searched
-first. This is the observational-equivalence pruning of TRANSIT and
-Escher, restricted to same-length prefixes because the thresholds are per
-size, so the search returns the solution the plain depth-first search
-would.
+A prefix whose stack states on every test case equal those of a prefix
+of the same scope and length popped before it with a smaller path is
+dropped with its subtree: the earlier prefix is at least as probable, so
+each completion of the dropped one has a twin through it with the same
+outputs and a smaller key. An earlier prefix with a larger path drops
+nothing: it is more probable, but adding the same suffix to both can
+round their log-probabilities to one float, and the tie goes to the
+smaller path. This is the observational-equivalence pruning of TRANSIT
+and Escher, restricted to same-length prefixes because the thresholds
+are per size.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -80,15 +78,10 @@ LIST_LIMIT = 1024
 # How far each widening round lowers every threshold, in log10.
 WIDENING_STEP_LOG10 = -2.0
 
-# The largest max_size synthesize takes. The search recurses once per
-# instruction of a prefix, so this stays well under Python's default
-# recursion limit of 1000, with room for the callers' frames.
+# The largest max_size synthesize takes, and so the bound on
+# ``synth --max-size``: per-length bound tables and heap paths grow with
+# it.
 MAX_PROGRAM_SIZE = 256
-
-# Frontier tags: the first child a round did not generate (an interior or
-# leaf cut); a prefix whose own candidate was below its test bound; such a
-# prefix whose subtree the dominance rule skipped.
-_CUT, _UNTESTED, _SKIPPED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -249,9 +242,18 @@ def load_test_spec(path: str | Path) -> TestCaseSpec:
 
 @dataclass
 class SearchReport:
-    """Outcome and node accounting for one synthesis run. The node counters
-    sum, over rounds, the nodes each round visits: a later round visits only
-    the nodes that lead to candidates its thresholds newly admit."""
+    """Outcome and work counters of one synthesis run.
+
+    ``solution`` is the passing candidate with the least key (round,
+    -log10 p, scope index, step indices), ``solved_subset_id`` its
+    scope's subset, and ``rounds`` its round + 1, or the length of the
+    whole schedule when no candidate passes; ``threshold_schedule_used``
+    holds those rounds' offsets. ``nodes_expanded`` counts the prefixes
+    popped, ``nodes_pruned_by_threshold`` the pushes that the thresholds
+    put in a later round than the item being expanded (0 without
+    thresholds), and ``nodes_deduped`` the prefixes dropped because a
+    prefix of the same scope and length, popped before them with a
+    smaller path, left the same stack states."""
 
     solution: tuple[str, ...] | None
     nodes_expanded: int
@@ -263,9 +265,8 @@ class SearchReport:
 
 
 class _SubsetSearch:
-    """Per-scope search state: the step table in extension order, threshold
-    bases, the frontier the last round searched here left, and the solve
-    masks of the stacks met so far."""
+    """Per-scope search setup: the step table in extension order and the
+    threshold bases and floors the rounds lower them to."""
 
     def __init__(self, scope: Scope, max_size: int):
         self.subset_id = scope.subset_id
@@ -278,21 +279,6 @@ class _SubsetSearch:
         min_log = ordered[-1][1]
         self.floors = [s * min_log for s in range(max_size + 1)]
         self.bases = [0.0] + [scope.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)]
-        # A prefix's key reads its step indices + 1 as mixed-radix digits
-        # (radix width + 1), padded with zeros to max_size digits: sorted
-        # keys are depth-first order and a subtree is one key range.
-        # units[L] is the key distance between siblings of length L.
-        radix = len(self.steps) + 1
-        self.units = [radix ** (max_size - length) for length in range(max_size + 1)]
-        # The frontier of the last round searched here, as sorted keys and
-        # their tags (_CUT, _UNTESTED, _SKIPPED). Before round 1 it is the
-        # cut at the root's first child: every node is new.
-        self.frontier = ([self.units[1]], [_CUT])
-        # Per test case: repr(stack[-2:]) -> the solve mask of those top
-        # two values for the case's expected output (``_solve_mask``),
-        # which is the whole stack's: no step reads deeper. A mask
-        # outlives its round, so no later round computes it again.
-        self.masks: dict[int, dict[str, int]] = defaultdict(dict)
 
     def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
         """Per-size active thresholds, suffix minima, and an all-at-floor flag."""
@@ -307,29 +293,29 @@ class _SubsetSearch:
 def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> SearchReport:
     """Search for a program of at most ``max_size`` instructions satisfying the spec.
 
-    Scopes are tried in the given order within each widening round; the
-    first candidate that is admissible at its size and passes every test
-    case wins. Each round lowers every size's threshold by
-    ``WIDENING_STEP_LOG10`` more, down to its floor (the minimum possible
-    solution probability at that size); a round with every threshold at
-    its floor is the last, and an exhausted schedule yields an empty
-    report. A round follows one that found no solution, so it tests only the
-    candidates its thresholds newly admit, and visits and counts only the
-    nodes on the way to them, resuming from the last round's frontier.
-    Scopes without thresholds (``Scope.without_thresholds``) start
-    at their floors, so one round tests every program over each scope's
-    instructions: the baseline for measuring what the thresholds save.
+    Returns the passing candidate with the least key (round, -log10 p,
+    scope index, step indices): the most probable program, over every
+    scope, in the earliest round that admits one. Round r lowers every
+    size's threshold by r times ``WIDENING_STEP_LOG10``, down to its floor
+    (the minimum possible solution probability at that size); the first
+    round with every scope at its floors is the last, and a candidate's
+    round is the first that admits it at its own size. Log-probabilities
+    are summed step by step in program order, and ties go to the earlier
+    scope, then to the earlier step indices in each scope's table order
+    (descending probability, then name). An exhausted schedule yields a
+    report with no solution. Scopes without thresholds
+    (``Scope.without_thresholds``) start at their floors, so one round
+    ranks every program over each scope's instructions: the baseline for
+    measuring what the thresholds save.
 
-    The search skips the subtree of a prefix dominated by an earlier prefix
-    of the same length: same stack states on every case, log-probability
-    no higher. Any admissible solution through the dominated prefix P' has
-    a twin through the earlier prefix P with the same suffix, the same
-    outputs and a probability at least as high at every length (float
-    addition is monotone), so it clears every threshold and cut P' does.
-    P's subtree is searched first, so the first solution found is the one
-    the search without this rule returns. The rule applies to prefixes of
-    at most ``max_size - 2`` instructions; ``nodes_deduped`` counts the
-    subtrees it skips, whose roots are still counted as expanded.
+    One heap holds prefixes and passing candidates. A prefix is keyed by
+    the first round whose cut it clears, and no key falls along an
+    extension, so each prefix is popped at most once over all rounds and
+    the first candidate popped is the answer. A prefix that faults in
+    some case is not opened, nor is one whose stack states equal those of
+    a prefix of the same scope and length popped before it with a smaller
+    path: each of its completions has a twin there with the same outputs
+    and a smaller key. ``SearchReport`` defines the counters.
 
     Raises ValueError, before any search, when ``max_size`` is below 1 or
     above ``MAX_PROGRAM_SIZE``, or a scope holds an instruction outside the
@@ -340,40 +326,119 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
 
     searches = [_SubsetSearch(scope, max_size) for scope in scopes]
 
-    counters = {"expanded": 0, "pruned": 0, "deduped": 0}
-    schedule_used: list[float] = []
+    # Each round's offset, and per round each scope's thresholds. The
+    # first offset is a plain 0.0, so the schedule is written without -0.0.
+    schedule: list[float] = []
+    per_round: list[list[tuple[list[float], list[float], bool]]] = []
+    while not per_round or not all(at_floor for _, _, at_floor in per_round[-1]):
+        offset = len(schedule) * WIDENING_STEP_LOG10 if schedule else 0.0
+        schedule.append(offset)
+        per_round.append([search.round_thresholds(offset, max_size) for search in searches])
+
+    expected = [case.expected for case in spec.cases]
+    inputs = [list(case.inputs) for case in spec.cases]
+    last = max_size - 1
+    heap: list = []
+    tables = []
+    pruned = 0
+    for index, search in enumerate(searches):
+        steps = search.steps
+        logps = [logp for _, logp, _, _ in steps]
+        thresholds = [round_[index] for round_ in per_round]
+        # Per length, the negated test and cut bounds over the rounds,
+        # ascending: bisect_left(bounds, -logp) is the first round whose
+        # bound logp clears. The last round is at the floors, which every
+        # candidate and prefix clears, so the lookup stays in the schedule.
+        admit = [[LOG10_SLACK - active[length] for active, _, _ in thresholds] for length in range(max_size + 1)]
+        cut = [[LOG10_SLACK - tail_min[length] for _, tail_min, _ in thresholds] for length in range(max_size + 1)]
+        # Per test case: repr(stack[-2:]) -> the solve mask of those top
+        # two values for the case's expected output (``_solve_mask``),
+        # which is the whole stack's: no step reads deeper.
+        masks: list[dict[str, int]] = [{} for _ in expected]
+        # Per length: the repr of an opened prefix's states -> the least
+        # path of the prefixes opened with them.
+        seen: list[dict[str, tuple[int, ...]]] = [{} for _ in range(max_size)]
+        tables.append((steps, logps, admit, cut, masks, seen))
+        # The root is opened in round 0: its passing child, as a
+        # candidate, and its first child, as a prefix.
+        mask = _and_mask(steps, masks, expected, inputs, 0, None)
+        if mask:
+            i = (mask & -mask).bit_length() - 1
+            r = bisect_left(admit[1], -logps[i])
+            pruned += r > 0
+            heappush(heap, (r, -logps[i], index, (i,), 0, None, None))
+        if max_size > 1:
+            r = bisect_left(cut[1], -logps[0])
+            pruned += r > 0
+            heappush(heap, (r, -logps[0], index, (0,), 1, inputs, 0.0))
+
+    # Items are (round, -logp, scope index, path, kind, parent states,
+    # parent logp), with kind 0 for a candidate and 1 for a prefix: a
+    # candidate pops first on a tie, and no two items tie on the first
+    # five, so states are never compared.
+    expanded = deduped = 0
     solution: tuple[str, ...] | None = None
     solved_subset: int | None = None
-    while solution is None:
-        offset = len(schedule_used) * WIDENING_STEP_LOG10
-        schedule_used.append(offset)
-        all_floored = True
-        for search in searches:
-            active, tail_min, at_floor = search.round_thresholds(offset, max_size)
-            all_floored &= at_floor
-            solution = _dfs_subset(search, spec, max_size, active, tail_min, counters)
-            if solution is not None:
-                solved_subset = search.subset_id
-                break
-        if all_floored:
+    rounds = len(schedule)
+    while heap:
+        rnd, neg, index, path, kind, states, base = heappop(heap)
+        steps, logps, admit, cut, masks, seen = tables[index]
+        if not kind:
+            solution = tuple(steps[i][0] for i in path)
+            solved_subset = searches[index].subset_id
+            rounds = rnd + 1
             break
+        expanded += 1
+        length = len(path)
+        i = path[-1]
+        if i + 1 < len(logps):
+            sibling = base + logps[i + 1]
+            r = bisect_left(cut[length], -sibling)
+            pruned += r > rnd
+            heappush(heap, (r, -sibling, index, path[:-1] + (i + 1,), 1, states, base))
+        _, _, arity, fn = steps[i]
+        logp = -neg
+        if length == last:
+            mask = _and_mask(steps, masks, expected, states, arity, fn)
+        else:
+            states = [_stepped(state, arity, fn) for state in states]
+            if None in states:
+                continue
+            level = seen[length]
+            key = repr(states)
+            least = level.get(key)
+            if least is not None and least < path:
+                deduped += 1
+                continue
+            level[key] = path
+            mask = _and_mask(steps, masks, expected, states, 0, None)
+            child = logp + logps[0]
+            r = bisect_left(cut[length + 1], -child)
+            pruned += r > rnd
+            heappush(heap, (r, -child, index, path + (0,), 1, states, logp))
+        if mask:
+            j = (mask & -mask).bit_length() - 1
+            child = logp + logps[j]
+            r = bisect_left(admit[length + 1], -child)
+            pruned += r > rnd
+            heappush(heap, (r, -child, index, path + (j,), 0, None, None))
 
     return SearchReport(
         solution=solution,
-        nodes_expanded=counters["expanded"],
-        nodes_pruned_by_threshold=counters["pruned"],
-        nodes_deduped=counters["deduped"],
-        threshold_schedule_used=schedule_used,
-        rounds=len(schedule_used),
+        nodes_expanded=expanded,
+        nodes_pruned_by_threshold=pruned,
+        nodes_deduped=deduped,
+        threshold_schedule_used=schedule[:rounds],
+        rounds=rounds,
         solved_subset_id=solved_subset,
     )
 
 
-def _stepped(state: list | None, arity: int, fn) -> list | None:
-    """The stack after one step-table entry, or None if the stack is dead or
-    the step faults. _OPS functions never mutate their arguments, so the
-    new stack may share values with the old one."""
-    if state is None or len(state) < arity:
+def _stepped(state: list, arity: int, fn) -> list | None:
+    """The stack after one step-table entry, or None if the step faults.
+    _OPS functions never mutate their arguments, so the new stack may
+    share values with the old one."""
+    if len(state) < arity:
         return None
     result = fn(*state[-arity:]) if arity else fn()
     if type(result) is Fault:
@@ -407,201 +472,26 @@ def _solve_mask(steps: list, state: list, expected) -> int:
     return mask
 
 
-def _dfs_subset(
-    search: _SubsetSearch,
-    spec: TestCaseSpec,
-    max_size: int,
-    active: list[float],
-    tail_min: list[float],
-    counters: dict,
-) -> tuple[str, ...] | None:
-    steps = search.steps
-    width = len(steps)
-    logps = [logp for _, logp, _, _ in steps]
-    units = search.units
-    expected = [case.expected for case in spec.cases]
-    masks = [search.masks[c] for c in range(len(expected))]
-    # Per length: the test bound, and the cut bound. At max_size the two
-    # agree: tail_min[max_size] is active[max_size].
-    admit = [a - LOG10_SLACK for a in active]
-    cut = [t - LOG10_SLACK for t in tail_min]
-    leaf_bound = admit[max_size]
-    last = max_size - 1
-
-    # The last round's frontier, read in order, and this round's, written
-    # in order. A prefix that neither holds nor leads to a frontier entry
-    # has nothing new below it: its candidates were all tested or skipped.
-    # The cut and the dominance rule are exact, so every candidate an
-    # earlier round tested failed.
-    old_keys, old_tags = search.frontier
-    old_count = len(old_keys)
-    pos = 0
-    keys, tags = [], []
-    add_key, add_tag = keys.append, tags.append
-
-    # Per length: repr(states) -> best log-probability of a prefix that
-    # left them. Kept up to max_size - 2, where a skipped subtree still
-    # holds two levels. At max_size - 1 a hit saves one level of children
-    # but the largest size-6 search holds 11,769 keys instead of 2,186.
-    seen = {length: {} for length in range(1, max_size - 1)}
-
-    def solve_mask(head, states: list, arity: int, fn) -> int:
-        # The steps that solve every case from a prefix's stacks: the AND
-        # of the cases' masks, read up to the first zero. Its stack in
-        # case 0 is head (None if dead); in case c it is step (arity, fn)
-        # applied to states[c], or states[c] itself with no step, and is
-        # made only if the AND reaches case c.
-        mask = -1
-        state = head
-        for c, memo in enumerate(masks):
-            if c:
-                state = _stepped(states[c], arity, fn) if fn else states[c]
+def _and_mask(steps: list, masks: list[dict[str, int]], expected: list, states: list, arity: int, fn) -> int:
+    """The steps that solve every case from a prefix's stacks: the AND of
+    the cases' solve masks, read up to the first zero. The stack in case c
+    is ``states[c]``, or with a step (``fn`` not None) that stack after
+    the step, made only if the AND reaches case c."""
+    mask = -1
+    for state, memo, output in zip(states, masks, expected):
+        if fn is not None:
+            state = _stepped(state, arity, fn)
             if state is None:
                 return 0
-            top = state[-2:]
-            top_key = repr(top)
-            case_mask = memo.get(top_key)
-            if case_mask is None:
-                case_mask = memo[top_key] = _solve_mask(steps, top, expected[c])
-            mask &= case_mask
-            if not mask:
-                return 0
-        return mask
-
-    def leaf(prefix: list[str], key: int, logp: float, fresh: bool, head, states: list, arity: int, fn) -> tuple[str, ...] | None:
-        # The children of a leaf parent, at max_size, are never extended
-        # and keep no states. Steps run in descending log-probability, so
-        # the children from the first one below the bound on are cut; the
-        # first admissible child in the AND of the leaf parent's masks is
-        # the solution. The leaf parent's stacks are those solve_mask
-        # reads from (head, states, arity, fn).
-        nonlocal pos
-        if fresh:
-            start = 0
-        elif pos == old_count or old_keys[pos] >= key + units[last]:
-            # The only entry left below a leaf parent is its leaf cut.
-            return None
-        else:
-            start = old_keys[pos] - key - 1
-            pos += 1
-        stop = start
-        while stop < width and logp + logps[stop] >= leaf_bound:
-            stop += 1
-        found = 0
-        if stop > start:
-            found = solve_mask(head, states, arity, fn) >> start & (1 << (stop - start)) - 1
-        if found:
-            i = start + (found & -found).bit_length() - 1
-            counters["expanded"] += i + 1 - start
-            return tuple(prefix + [steps[i][0]])
-        counters["expanded"] += stop - start
-        if stop < width:
-            counters["pruned"] += width - stop
-            add_key(key + stop + 1)
-            add_tag(_CUT)
-        return None
-
-    def rec(prefix: list[str], key: int, logp: float, fresh: bool, states: list) -> tuple[str, ...] | None:
-        # A fresh prefix lies at or below a cut of the last round, so its
-        # whole subtree is new. Otherwise only the children that hold or
-        # lead to a frontier entry are visited, and the children from the
-        # frontier's cut here on, if any, are fresh.
-        nonlocal pos
-        length = len(prefix) + 1
-        unit = units[length]
-        end = key + units[length - 1]
-        level = seen.get(length)
-        bound = cut[length]
-        child_key = key
-        # The steps that solve every case from this prefix's states,
-        # computed when a child is first tested.
-        mask = None
-        # The child's frontier tag: _CUT for a fresh child, None for one
-        # whose own candidate an earlier round tested.
-        tag = _CUT if fresh else None
-        for i, (instruction, step_logp, arity, fn) in enumerate(steps):
-            child_key += unit
-            if not fresh:
-                if pos == old_count or old_keys[pos] >= end:
-                    return None
-                if old_keys[pos] >= child_key + unit:
-                    continue
-                tag = None
-                if old_keys[pos] == child_key:
-                    tag = old_tags[pos]
-                    fresh = tag == _CUT
-                    pos += 1
-            child_logp = logp + step_logp
-            # Admissible cut: below every threshold this partial could
-            # still reach, no completion can be admitted this round. Any
-            # candidate admissible at its own size keeps every prefix
-            # above the cut, so the cut never hides a testable candidate.
-            # Later steps have no higher log-probability, so they fall too.
-            if child_logp < bound:
-                counters["pruned"] += width - i
-                add_key(child_key)
-                add_tag(_CUT)
-                return None
-            counters["expanded"] += 1
-            below = child_logp < admit[length]
-            if tag is not None and not below:
-                if mask is None:
-                    mask = solve_mask(states[0], states, 0, None)
-                if mask >> i & 1:
-                    return tuple(prefix + [instruction])
-            if length == last:
-                # A leaf parent: dominance does not reach it and its own
-                # test read this prefix's mask, so it is stepped only up
-                # to its first live case, which is all `alive` needs;
-                # solve_mask steps the rest as far as the AND reaches.
-                head = _stepped(states[0], arity, fn)
-                if head is None and all(_stepped(state, arity, fn) is None for state in states[1:]):
-                    continue
-                descend, stacks = leaf, (head, states, arity, fn)
-            else:
-                child_states = [_stepped(state, arity, fn) for state in states]
-                if child_states.count(None) == len(child_states):  # dead in every case
-                    continue
-                skipped = tag == _SKIPPED
-                if level is not None and not skipped:
-                    # Dominance: an earlier prefix of this length left the
-                    # same states at a log-probability at least as high, so
-                    # it already searched a twin of every completion here.
-                    state_key = repr(child_states)
-                    best = level.get(state_key)
-                    skipped = best is not None and best >= child_logp
-                    if not skipped:
-                        level[state_key] = child_logp
-                if skipped:
-                    # A skipped subtree stays skipped: a later round's earlier
-                    # prefixes include this round's, in the same order, so the
-                    # best log-probability it is compared with can only grow.
-                    counters["deduped"] += 1
-                    if below:
-                        add_key(child_key)
-                        add_tag(_SKIPPED)
-                    if not fresh:
-                        pos = bisect_left(old_keys, child_key + unit, pos)
-                    continue
-                descend, stacks = rec, (child_states,)
-            if below:
-                add_key(child_key)
-                add_tag(_UNTESTED)
-            prefix.append(instruction)
-            found = descend(prefix, child_key, child_logp, fresh, *stacks)
-            prefix.pop()
-            if found is not None:
-                return found
-        return None
-
-    initial = [list(case.inputs) for case in spec.cases]
-    if max_size == 1:
-        solution = leaf([], 0, 0.0, False, initial[0], initial, 0, None)
-    else:
-        solution = rec([], 0, 0.0, False, initial)
-    if solution is None:
-        search.frontier = (keys, tags)
-    return solution
+        top = state[-2:]
+        key = repr(top)
+        case_mask = memo.get(key)
+        if case_mask is None:
+            case_mask = memo[key] = _solve_mask(steps, top, output)
+        mask &= case_mask
+        if not mask:
+            return 0
+    return mask
 
 
 def random_program_corpus(

@@ -61,11 +61,14 @@ def test_pipeline_artifacts_match_recorded_bytes(tmp_path):
     assert _pipeline(tmp_path) == GOLDEN
 
 
-# The README synth demo. Both reports are the same bytes: the search
-# solves the spec before any threshold cuts a node.
+# The README synth demo. Both reports are the same bytes: the best-first
+# search reports push3 in round 1 before any threshold puts an item in a
+# later round. Recorded again when best-first search replaced the
+# depth-first one, which reported push0 push0 push3, and the schedule
+# began writing its first offset as 0.0 rather than -0.0.
 GOLDEN_SYNTH = {
-    "report.json": "1b61244c77c2222801922986767cba9a94d87c487ccbf0eba0824367a98e8f89",
-    "report-no-prune.json": "1b61244c77c2222801922986767cba9a94d87c487ccbf0eba0824367a98e8f89",
+    "report.json": "e72cccd5a36d1c0ffd525f5e971f5e418aedb7cd2e63e65a38e0d17f2d716c5f",
+    "report-no-prune.json": "e72cccd5a36d1c0ffd525f5e971f5e418aedb7cd2e63e65a38e0d17f2d716c5f",
 }
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import importlib.util
 import json
+import math
 import random
+from array import array
 from http import HTTPStatus
 from itertools import product
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from probsynth import (
     DSL_ALPHABET,
     Fault,
+    Scope,
     SearchReport,
     TestCase,
     TestCaseSpec,
@@ -27,9 +29,18 @@ from probsynth import (
     random_program_corpus,
     solution_probability,
     synthesize,
+    table_from_counts,
 )
 from probsynth.probability import LOG10_SLACK
-from probsynth.synth import MAX_PROGRAM_SIZE, _OPS, _solve_mask, _step, _SubsetSearch, _values_equal, load_test_spec
+from probsynth.synth import (
+    MAX_PROGRAM_SIZE,
+    WIDENING_STEP_LOG10,
+    _OPS,
+    _solve_mask,
+    _SubsetSearch,
+    _values_equal,
+    load_test_spec,
+)
 
 from conftest import cases_from_program, satisfies, write_spec
 
@@ -195,23 +206,20 @@ class TestTestCaseSpec:
 class TestSynthesize:
     def test_finds_constant_program(self, dsl_scopes):
         spec = TestCaseSpec(cases=(TestCase((), 3),))
-        report = synthesize(spec, dsl_scopes, max_size=3)
+        report = _check_against_oracle(spec, dsl_scopes, 3)
         assert report.solution is not None
         assert len(report.solution) <= 3
         assert satisfies(report.solution, spec)
         assert report.nodes_expanded >= 1
-        baseline = uncut_synthesize(spec, dsl_scopes, 3)
-        assert report.nodes_expanded <= baseline.nodes_expanded
 
     def test_pruned_run_never_expands_more(self, dsl_corpus, dsl_scopes):
-        # The uncut search tests the same admissible candidates but never
-        # cuts branches, so both runs return the same solution and the cut
-        # can only save work
+        # Both runs return the oracle's solution, and the thresholds cost
+        # no extra pops here; criterion 7 checks the same over its planted
+        # specs, where they save some.
         planted = next(u for u in dsl_corpus.units if u.size == 4)
         spec = cases_from_program(planted.instructions, [()])
-        pruned = synthesize(spec, dsl_scopes, max_size=4)
-        baseline = uncut_synthesize(spec, dsl_scopes, 4)
-        assert pruned.solution == baseline.solution
+        pruned = _check_against_oracle(spec, dsl_scopes, 4)
+        baseline = _check_against_oracle(spec, _scopes(dsl_scopes, False), 4)
         assert pruned.solution is not None
         assert satisfies(pruned.solution, spec)
         assert baseline.nodes_pruned_by_threshold == 0
@@ -267,21 +275,6 @@ class TestSynthesize:
         assert report.solution is not None
         assert satisfies(report.solution, spec)
 
-    def test_frontier_keys_past_64_bits(self, dsl_scopes):
-        # A frontier key has max_size digits in radix width + 1; past 2**63
-        # the keys are kept as Python ints, so any max_size searches.
-        scope = dsl_scopes[0].without_thresholds()
-        width = len(scope.table.log10_probs)
-        max_size = next(m for m in range(1, 64) if (width + 1) ** m > 2**63)
-        search = _SubsetSearch(scope, max_size)
-        largest = search.units[0] - 1
-        assert largest >= 2**63 and search.frontier[0] == [(width + 1) ** (max_size - 1)]
-        first = search.steps[0][0]
-        output = evaluate([first], ())
-        assert not isinstance(output, Fault)
-        report = synthesize(TestCaseSpec(cases=(TestCase((), output),)), [scope], max_size)
-        assert report.solution == (first,)
-
     @pytest.mark.parametrize("max_size", [0, MAX_PROGRAM_SIZE + 1])
     def test_max_size_out_of_bounds_rejected(self, dsl_scopes, max_size):
         with pytest.raises(ValueError, match=rf"max_size must be in 1\.\.{MAX_PROGRAM_SIZE}, got {max_size}"):
@@ -306,6 +299,8 @@ class TestWideningSchedule:
         report = synthesize(spec, dsl_scopes, 3)
         assert report.rounds > 1
         assert report.threshold_schedule_used == [r * -2.0 for r in range(report.rounds)]
+        # The first offset is a plain 0.0, written as such in a report.
+        assert math.copysign(1.0, report.threshold_schedule_used[0]) == 1.0
 
     def test_rounds_widen_monotonically(self, dsl_scopes):
         search = _SubsetSearch(dsl_scopes[0], 6)
@@ -324,97 +319,56 @@ class TestWideningSchedule:
         assert active[1:] == search.floors[1:]
 
 
-def _reference_dfs_subset(search, spec, max_size, active, tail_min, counters, prune=True, dedupe=True):
-    """The search loop before the leaf short-circuit, the step table and the
-    sorted-tail cut: every expanded child, leaves included, is stepped
-    through ``_step`` on every case, and every cut child is looked at. The
-    oracle for exact reports, node counters included. With ``prune=False``
-    it never cuts a branch: the uncut search of ``uncut_synthesize``. With
-    ``dedupe=False`` it has no dominance rule, as before the rule: the
-    oracle showing that the rule neither loses nor changes a solution."""
-    order = [instruction for instruction, _, _, _ in search.steps]
-    logps = {instruction: logp for instruction, logp, _, _ in search.steps}
-    expected = [case.expected for case in spec.cases]
-    seen = {length: {} for length in range(1, max_size - 1)}
-
-    def rec(prefix, logp, states):
-        length = len(prefix) + 1
-        level = seen.get(length)
-        for instruction in order:
-            child_logp = logp + logps[instruction]
-            if prune and child_logp < tail_min[length] - LOG10_SLACK:
-                counters["pruned"] += 1
-                continue
-            counters["expanded"] += 1
-            child_states = []
-            alive = False
-            for state in states:
-                if state is None:
-                    child_states.append(None)
+def least_key_search(spec, scopes, max_size):
+    """Brute-force oracle for ``synthesize``'s order. Every candidate of
+    every scope up to ``max_size`` is keyed by (round, -log10 p, scope
+    index, path): its round is the first whose ``round_thresholds`` admits
+    it at its size, less ``LOG10_SLACK``; log10 p is summed step by step in
+    program order; the path is its step indices in the scope's table. The
+    candidate is run with ``evaluate``. Returns the least passing key's
+    program, its subset id and the rounds of its report: its round + 1, or
+    the whole schedule's length when none passes."""
+    searches = [_SubsetSearch(scope, max_size) for scope in scopes]
+    schedule = []  # per round, each scope's active thresholds
+    while True:
+        offset = len(schedule) * WIDENING_STEP_LOG10
+        rows = [search.round_thresholds(offset, max_size) for search in searches]
+        schedule.append([active for active, _, _ in rows])
+        if all(at_floor for _, _, at_floor in rows):
+            break
+    best = None
+    for index, search in enumerate(searches):
+        names = [name for name, _, _, _ in search.steps]
+        logps = [logp for _, logp, _, _ in search.steps]
+        for size in range(1, max_size + 1):
+            bounds = [active[index][size] - LOG10_SLACK for active in schedule]
+            for path in product(range(len(names)), repeat=size):
+                logp = 0.0
+                for i in path:
+                    logp += logps[i]
+                round_ = next((r for r, bound in enumerate(bounds) if logp >= bound), None)
+                if round_ is None:
                     continue
-                new_state = list(state)
-                if _step(new_state, instruction) is not None:
-                    child_states.append(None)
-                else:
-                    child_states.append(new_state)
-                    alive = True
-            if child_logp >= active[length] - LOG10_SLACK:
-                if all(
-                    state is not None and state and _values_equal(state[-1], exp)
-                    for state, exp in zip(child_states, expected)
-                ):
-                    return tuple(prefix + [instruction])
-            if length < max_size and alive:
-                if dedupe and level is not None:
-                    key = repr(child_states)
-                    best = level.get(key)
-                    if best is not None and best >= child_logp:
-                        counters["deduped"] += 1
-                        continue
-                    level[key] = child_logp
-                prefix.append(instruction)
-                found = rec(prefix, child_logp, child_states)
-                prefix.pop()
-                if found is not None:
-                    return found
-        return None
-
-    return rec([], 0.0, [list(case.inputs) for case in spec.cases])
+                key = (round_, -logp, index, path)
+                if best is not None and key >= best[0]:
+                    continue
+                program = tuple(names[i] for i in path)
+                if satisfies(program, spec):
+                    best = (key, program, search.subset_id)
+    if best is None:
+        return None, None, len(schedule)
+    (round_, _, _, _), program, subset_id = best
+    return program, subset_id, round_ + 1
 
 
-def uncut_synthesize(spec, scopes, max_size):
-    """synthesize with the reference loop and no admissible cut, through the
-    same round loop: the same candidates tested in the same order, every
-    branch expanded. The baseline for what the cut saves."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr("probsynth.synth._dfs_subset", functools.partial(_reference_dfs_subset, prune=False))
-        return synthesize(spec, scopes, max_size)
-
-
-def _check_against_oracles(spec, scopes, max_size):
-    """Run synthesize with the search loop, the reference loop, the loop
-    without the dominance rule and the uncut reference loop, through the
-    same round loop. Assert the same outcome as all three, with no more
-    nodes. A one-round report is identical to the reference's, counters
-    included; a later round resumes from the last round's frontier while
-    the reference walks its whole tree, so there only the outcome agrees."""
+def _check_against_oracle(spec, scopes, max_size):
+    """Run synthesize and assert the oracle's program, subset and rounds,
+    and the schedule of those rounds, starting at a plain 0.0."""
     report = synthesize(spec, scopes, max_size)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr("probsynth.synth._dfs_subset", _reference_dfs_subset)
-        reference = synthesize(spec, scopes, max_size)
-        m.setattr("probsynth.synth._dfs_subset", functools.partial(_reference_dfs_subset, dedupe=False))
-        plain = synthesize(spec, scopes, max_size)
-    uncut = uncut_synthesize(spec, scopes, max_size)
-    if report.rounds == 1:
-        assert report == reference
-    assert plain.nodes_deduped == 0
-    assert uncut.nodes_pruned_by_threshold == 0
-    for oracle in (reference, plain, uncut):
-        assert report.solution == oracle.solution
-        assert report.solved_subset_id == oracle.solved_subset_id
-        assert report.rounds == oracle.rounds
-        assert report.threshold_schedule_used == oracle.threshold_schedule_used
-        assert report.nodes_expanded <= oracle.nodes_expanded
+    solution, subset_id, rounds = least_key_search(spec, scopes, max_size)
+    assert (report.solution, report.solved_subset_id, report.rounds) == (solution, subset_id, rounds)
+    assert report.threshold_schedule_used == [r * WIDENING_STEP_LOG10 for r in range(rounds)]
+    assert math.copysign(1.0, report.threshold_schedule_used[0]) == 1.0
     return report
 
 
@@ -472,6 +426,11 @@ def _unsatisfiable_spec(seed):
 
 
 class TestDominanceOracle:
+    """synthesize, with its dominance rule, against the brute-force
+    least-key oracle, which has none: the same program, subset and rounds
+    on drawn, planted, later-round, list and unsatisfiable specs, with and
+    without thresholds."""
+
     @pytest.mark.parametrize("thresholds", [True, False])
     def test_planted_specs_match_plain_search(self, planted_fixture, thresholds):
         scopes, planted = planted_fixture
@@ -480,7 +439,7 @@ class TestDominanceOracle:
         deduped = 0
         for program in planted:
             spec = cases_from_program(program, PROBES)
-            report = _check_against_oracles(spec, scopes, len(program))
+            report = _check_against_oracle(spec, scopes, len(program))
             assert report.solution is not None and satisfies(report.solution, spec)
             deduped += report.nodes_deduped
         assert deduped > 0
@@ -489,16 +448,15 @@ class TestDominanceOracle:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, thresholds, seed):
         scopes = _scopes(planted_fixture[0], thresholds)
-        report = _check_against_oracles(_unsatisfiable_spec(seed), scopes, 4)
+        report = _check_against_oracle(_unsatisfiable_spec(seed), scopes, 4)
         assert report.solution is None and (report.rounds > 1) == thresholds
         assert report.nodes_deduped > 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_widening_tests_each_candidate_once(self, planted_fixture, seed, monkeypatch):
-        # A round tests only the candidates its thresholds newly admit,
-        # visiting only the nodes that lead to them, and a stack's solve
-        # mask serves every later round, so the whole schedule compares as
-        # many outputs as one sweep at the floors.
+        # Each prefix is popped at most once over the whole schedule, and a
+        # stack's solve mask serves every round, so the four rounds compare
+        # as many outputs as one round at the floors.
         calls = 0
 
         def counting(result, expected):
@@ -518,9 +476,9 @@ class TestDominanceOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_widening_visits_about_one_sweep(self, planted_fixture, seed):
-        # Each round resumes from the last round's frontier, so the four
-        # rounds together visit about as many nodes as one sweep at the
-        # floors. Walking every earlier round's tree again cost 3.5 times.
+        # The rounds share one heap, so the four rounds pop the same
+        # prefixes as one round at the floors. Walking every earlier
+        # round's tree again cost 3.5 times one sweep.
         spec = _unsatisfiable_spec(seed)
         widened = synthesize(spec, planted_fixture[0], 4)
         swept = synthesize(spec, _scopes(planted_fixture[0], False), 4)
@@ -542,7 +500,7 @@ class TestDominanceOracle:
     )
     def test_later_round_solutions_match_reference(self, planted_fixture, program, inputs, max_size, deduped):
         spec = cases_from_program(program, inputs)
-        report = _check_against_oracles(spec, planted_fixture[0], max_size)
+        report = _check_against_oracle(spec, planted_fixture[0], max_size)
         assert report.rounds >= 2
         assert report.solution is not None and satisfies(report.solution, spec)
         assert len(report.solution) == len(program)
@@ -556,7 +514,7 @@ class TestDominanceOracle:
         )
         scopes = _scopes(build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4), thresholds)
         spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
-        report = _check_against_oracles(spec, scopes, 4)
+        report = _check_against_oracle(spec, scopes, 4)
         assert report.solution is not None and satisfies(report.solution, spec)
         assert report.nodes_deduped > 0
 
@@ -567,13 +525,30 @@ class TestDominanceOracle:
         # A list under an integer on the stack: at the last level, drop
         # exposes the value below the result, and swap and dup leave two.
         spec = TestCaseSpec(cases=(TestCase(([3, 1, 2], 4), expected), TestCase(([3, 1, 2], -1), expected)))
-        report = _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
+        report = _check_against_oracle(spec, _scopes(dsl_scopes, thresholds), max_size)
         assert (report.solution is not None) == (expected == [3, 1, 2])
+
+    def test_rounding_tie_goes_to_the_least_path(self):
+        # push0 add push0 and push0 push0 add leave the same stacks. With
+        # these counts the first is one ulp more probable, so it pops first
+        # though its path is larger; adding add rounds the two sums to one
+        # float, and the tie goes to the smaller path. Dropping every later
+        # prefix with the same stacks would return push0 add push0 add.
+        table = table_from_counts("is:0", {"push0": 4, "add": 2, "sub": 1, "sort": 4})
+        push0, add = table.log10_probs["push0"], table.log10_probs["add"]
+        first, later = push0 + add + push0, push0 + push0 + add
+        assert first > later and first + add == later + add
+        # Size 2 waits for round 1, so push0 add itself is not the answer.
+        scope = Scope(0, table, (), array("d"), {2: push0 + add + 0.5}, {2: 1})
+        spec = TestCaseSpec(cases=(TestCase((5,), 5), TestCase((7,), 7)))
+        report = _check_against_oracle(spec, [scope], 5)
+        assert report.solution == ("push0", "push0", "add", "add")
+        assert report.nodes_deduped > 0
 
 
 class TestSolveMasks:
-    """A candidate's test reads its parent's solve masks: one per test case
-    and stack, computed once per synthesize call."""
+    """A child's test reads its parent's solve masks: one per test case and
+    pair of top stack values, computed once per synthesize call."""
 
     @pytest.mark.parametrize("thresholds", [True, False])
     @pytest.mark.parametrize(
@@ -599,9 +574,10 @@ class TestSolveMasks:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_floor_sweep_compares_each_stack_once(self, planted_fixture, seed, monkeypatch):
         # A mask is computed once per case and pair of top values, and a
-        # leaf parent's later cases only while the AND of masks is nonzero:
-        # one sweep at the floors made 2,922 and 6,571 comparisons at seeds
-        # 0 and 1, where testing each candidate on its own made 24,721.
+        # prefix's later cases are read only while the AND of its masks is
+        # nonzero: one round at the floors makes 2,922 and 6,571
+        # comparisons at seeds 0 and 1, where testing each candidate on its
+        # own made 24,721.
         calls = 0
 
         def counting(result, expected):
@@ -617,7 +593,7 @@ class TestSolveMasks:
     @pytest.mark.parametrize("seed, whole_stack_calls", [(0, 1_037), (1, 1_463)])
     def test_floor_sweep_computes_masks_per_top_pair(self, planted_fixture, seed, whole_stack_calls, monkeypatch):
         # Stacks that differ only below their top two values share one
-        # mask: one sweep at the floors computes 316 and 708 masks at seeds
+        # mask: one round at the floors computes 316 and 708 masks at seeds
         # 0 and 1, where a memo keyed by the whole stack computed 1,037
         # and 1,463.
         calls = 0
@@ -654,9 +630,9 @@ class TestDominanceProperty:
     # Derandomized: unseeded draws made this test's time swing from about
     # 4 to 37 s between runs.
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(small_specs(), st.integers(1, 5), st.booleans())
+    @given(small_specs(), st.integers(1, 4), st.booleans())
     def test_random_specs_match_plain_search(self, dsl_scopes, spec, max_size, thresholds):
-        _check_against_oracles(spec, _scopes(dsl_scopes, thresholds), max_size)
+        _check_against_oracle(spec, _scopes(dsl_scopes, thresholds), max_size)
 
 
 _EDGE_INTS = (0, 1, -1, 2**63 - 1, -(2**63 - 1))
