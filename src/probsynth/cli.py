@@ -341,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
     p.add_argument("--cap", type=_positive_int, default=10)
     p.add_argument("--max-size", type=_program_size, default=5, help=f"largest program size to try (1..{MAX_PROGRAM_SIZE})")
-    p.add_argument("--no-prune", action="store_true", help="no thresholds: every size at its floor (IS space only)")
+    p.add_argument("--no-prune", action="store_true", help="no thresholds: search the IS space by probability alone")
     _add_common_output(p)
     p.set_defaults(func=cmd_synth)
 

@@ -8,26 +8,26 @@ rather than exceptions, so candidate programs can be executed blindly.
 The synthesizer enumerates the candidates of every subset scope
 (``probability.build_scopes``) best-first, from one heap, and returns the
 passing candidate with the least key (round, -log10 p, scope index,
-path), its path being its step indices in the scope's table: the most
-probable program in the earliest round that admits one. Round r lowers
-every size's threshold by r widening steps (``WIDENING_STEP_LOG10``, two
-orders of magnitude), down to the minimum possible probability at that
-size (its floor), and the first round with every scope at its floors is
-the last. A candidate's round is the first that admits it at its own
-size. A size with no threshold sits at its floor from the start, so
-scopes without thresholds have one round.
+path), its path being its step indices in the scope's table. There are
+two rounds. Round 0 is the space the thresholds admit: the candidates at
+or above their size's threshold, less ``LOG10_SLACK`` (a size with no
+threshold admits all of its candidates). Round 1 is every other
+candidate, with no test at all. So the answer is the most probable
+passing program that the thresholds admit, or failing that the most
+probable passing program, and a scope without thresholds has only
+round 0.
 
-Partial programs (prefixes) share the heap. A prefix's round is the first
-whose cut it clears: its probability is at or above a threshold it could
-still reach (those for its length and up). Adding an instruction lowers
-the probability and raises the length, so neither the round nor
+Partial programs (prefixes) share the heap. A prefix is in round 0 when
+it clears a threshold it could still reach (those for its length and
+up), less the slack, and in round 1 otherwise. Adding an instruction
+lowers the probability and raises the length, so neither the round nor
 -log10 p falls along an extension and the path only grows: no item's key
 is below that of the prefix that pushed it, and the first passing
 candidate popped has the least key, as in A* with an admissible bound.
-Each prefix is popped at most once for the whole schedule. Steps come in
-descending log-probability, so a popped prefix pushes its next sibling,
-keyed by the parent's log-probability plus the next step's, and, once
-opened, its first child: the heap holds about one item per open parent.
+Each prefix is popped at most once. Steps come in descending
+log-probability, so a popped prefix pushes its next sibling, keyed by
+the parent's log-probability plus the next step's, and, once opened, its
+first child: the heap holds about one item per open parent.
 
 A child's verdict depends only on its parent's stack in each case, so
 the search tests stacks rather than candidates. A stack's solve mask has
@@ -38,10 +38,10 @@ one and exposes the value below it. So per test case the search keeps a
 memo from the ``repr`` of a stack's top two values to the mask computed
 from those two alone; stacks that differ only lower down share one
 entry, and the key is the whole input of the mask. A mask is computed
-once per ``synthesize`` call, however many prefixes and rounds reach its
-pair. A child solves the spec when its bit is set in its parent's mask
-for every case, so opening a prefix pushes only its first such child,
-as a candidate: the candidates pushed all pass. A prefix of
+once per ``synthesize`` call, however many prefixes reach its pair. A
+child solves the spec when its bit is set in its parent's mask for every
+case, so opening a prefix pushes only its first such child, as a
+candidate: the candidates pushed all pass. A prefix of
 ``max_size - 1`` instructions (a leaf parent) keeps no stack state: it
 is stepped one case at a time, only as far as the AND of its masks
 reaches.
@@ -62,10 +62,10 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
+from math import inf
 from pathlib import Path
 from typing import Sequence
 
@@ -74,9 +74,6 @@ from .probability import LOG10_SLACK, Scope
 
 INT_LIMIT = 2**63
 LIST_LIMIT = 1024
-
-# How far each widening round lowers every threshold, in log10.
-WIDENING_STEP_LOG10 = -2.0
 
 # The largest max_size synthesize takes, and so the bound on
 # ``synth --max-size``: per-length bound tables and heap paths grow with
@@ -246,48 +243,22 @@ class SearchReport:
 
     ``solution`` is the passing candidate with the least key (round,
     -log10 p, scope index, step indices), ``solved_subset_id`` its
-    scope's subset, and ``rounds`` its round + 1, or the length of the
-    whole schedule when no candidate passes; ``threshold_schedule_used``
-    holds those rounds' offsets. ``nodes_expanded`` counts the prefixes
-    popped, ``nodes_pruned_by_threshold`` the pushes that the thresholds
-    put in a later round than the item being expanded (0 without
-    thresholds), and ``nodes_deduped`` the prefixes dropped because a
-    prefix of the same scope and length, popped before them with a
-    smaller path, left the same stack states."""
+    scope's subset, and ``rounds`` the rounds the search entered: the
+    solution's round + 1, or, when no candidate passes, 1 + the round of
+    the last item popped (2 exactly when the thresholds put some item in
+    round 1). ``nodes_expanded`` counts the prefixes popped,
+    ``nodes_pruned_by_threshold`` the pushes that the thresholds put in
+    round 1 from an item in round 0 (0 without thresholds), and
+    ``nodes_deduped`` the prefixes dropped because a prefix of the same
+    scope and length, popped before them with a smaller path, left the
+    same stack states."""
 
     solution: tuple[str, ...] | None
     nodes_expanded: int
     nodes_pruned_by_threshold: int
     nodes_deduped: int
-    threshold_schedule_used: list[float]
     rounds: int
     solved_subset_id: int | None
-
-
-class _SubsetSearch:
-    """Per-scope search setup: the step table in extension order and the
-    threshold bases and floors the rounds lower them to."""
-
-    def __init__(self, scope: Scope, max_size: int):
-        self.subset_id = scope.subset_id
-        ordered = list(scope.table.log10_probs.items())  # descending, then by name
-        unknown = next((instr for instr, _ in ordered if instr not in _OPS), None)
-        if unknown is not None:
-            raise ValueError(f"unknown DSL instruction {unknown!r}")
-        # (instruction, log-prob, input arity, implementation) in search order
-        self.steps = [(instr, logp, *_OPS[instr]) for instr, logp in ordered]
-        min_log = ordered[-1][1]
-        self.floors = [s * min_log for s in range(max_size + 1)]
-        self.bases = [0.0] + [scope.thresholds.get(s, self.floors[s]) for s in range(1, max_size + 1)]
-
-    def round_thresholds(self, offset: float, max_size: int) -> tuple[list[float], list[float], bool]:
-        """Per-size active thresholds, suffix minima, and an all-at-floor flag."""
-        active = [0.0] + [max(self.bases[s] + offset, self.floors[s]) for s in range(1, max_size + 1)]
-        at_floor = all(active[s] <= self.floors[s] for s in range(1, max_size + 1))
-        tail_min = list(active)
-        for s in range(max_size - 1, 0, -1):
-            tail_min[s] = min(tail_min[s], tail_min[s + 1])
-        return active, tail_min, at_floor
 
 
 def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> SearchReport:
@@ -295,22 +266,22 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
 
     Returns the passing candidate with the least key (round, -log10 p,
     scope index, step indices): the most probable program, over every
-    scope, in the earliest round that admits one. Round r lowers every
-    size's threshold by r times ``WIDENING_STEP_LOG10``, down to its floor
-    (the minimum possible solution probability at that size); the first
-    round with every scope at its floors is the last, and a candidate's
-    round is the first that admits it at its own size. Log-probabilities
-    are summed step by step in program order, and ties go to the earlier
-    scope, then to the earlier step indices in each scope's table order
-    (descending probability, then name). An exhausted schedule yields a
-    report with no solution. Scopes without thresholds
-    (``Scope.without_thresholds``) start at their floors, so one round
-    ranks every program over each scope's instructions: the baseline for
-    measuring what the thresholds save.
+    scope, that the thresholds admit (round 0), or failing that the most
+    probable program of all (round 1). Round 0 holds the candidates at or
+    above their size's threshold, less ``LOG10_SLACK``, and every
+    candidate of a size with no threshold; round 1 holds the rest, with no
+    test. Log-probabilities are summed step by step in program order, and
+    ties go to the earlier scope, then to the earlier step indices in each
+    scope's table order (descending probability, then name). When no
+    candidate passes, the report has no solution. Scopes without
+    thresholds (``Scope.without_thresholds``) put every program in round
+    0, which ranks every program over each scope's instructions by
+    probability alone: the baseline for measuring what the thresholds
+    save.
 
-    One heap holds prefixes and passing candidates. A prefix is keyed by
-    the first round whose cut it clears, and no key falls along an
-    extension, so each prefix is popped at most once over all rounds and
+    One heap holds prefixes and passing candidates. A prefix is in round 0
+    when it clears the least threshold it could still reach, and no key
+    falls along an extension, so each prefix is popped at most once and
     the first candidate popped is the answer. A prefix that faults in
     some case is not opened, nor is one whose stack states equal those of
     a prefix of the same scope and length popped before it with a smaller
@@ -323,17 +294,9 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     """
     if not 1 <= max_size <= MAX_PROGRAM_SIZE:
         raise ValueError(f"max_size must be in 1..{MAX_PROGRAM_SIZE}, got {max_size}")
-
-    searches = [_SubsetSearch(scope, max_size) for scope in scopes]
-
-    # Each round's offset, and per round each scope's thresholds. The
-    # first offset is a plain 0.0, so the schedule is written without -0.0.
-    schedule: list[float] = []
-    per_round: list[list[tuple[list[float], list[float], bool]]] = []
-    while not per_round or not all(at_floor for _, _, at_floor in per_round[-1]):
-        offset = len(schedule) * WIDENING_STEP_LOG10 if schedule else 0.0
-        schedule.append(offset)
-        per_round.append([search.round_thresholds(offset, max_size) for search in searches])
+    unknown = next((instr for scope in scopes for instr in scope.table.log10_probs if instr not in _OPS), None)
+    if unknown is not None:
+        raise ValueError(f"unknown DSL instruction {unknown!r}")
 
     expected = [case.expected for case in spec.cases]
     inputs = [list(case.inputs) for case in spec.cases]
@@ -341,16 +304,18 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     heap: list = []
     tables = []
     pruned = 0
-    for index, search in enumerate(searches):
-        steps = search.steps
+    for index, scope in enumerate(scopes):
+        # (instruction, log-prob, input arity, implementation), in the
+        # table's order: descending log-prob, then name.
+        steps = [(instr, logp, *_OPS[instr]) for instr, logp in scope.table.log10_probs.items()]
         logps = [logp for _, logp, _, _ in steps]
-        thresholds = [round_[index] for round_ in per_round]
-        # Per length, the negated test and cut bounds over the rounds,
-        # ascending: bisect_left(bounds, -logp) is the first round whose
-        # bound logp clears. The last round is at the floors, which every
-        # candidate and prefix clears, so the lookup stays in the schedule.
-        admit = [[LOG10_SLACK - active[length] for active, _, _ in thresholds] for length in range(max_size + 1)]
-        cut = [[LOG10_SLACK - tail_min[length] for _, tail_min, _ in thresholds] for length in range(max_size + 1)]
+        # Per length, the negated round-0 bound: an item is in round
+        # int(-logp > bound). A candidate's is its size's threshold, less
+        # the slack; a prefix's the least threshold of its length and up
+        # (the suffix maximum of the negated ones). A size with no
+        # threshold admits everything.
+        admit = [LOG10_SLACK - scope.thresholds.get(length, -inf) for length in range(max_size + 1)]
+        cut = list(accumulate(reversed(admit), max))[::-1]
         # Per test case: repr(stack[-2:]) -> the solve mask of those top
         # two values for the case's expected output (``_solve_mask``),
         # which is the whole stack's: no step reads deeper.
@@ -364,12 +329,12 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
         mask = _and_mask(steps, masks, expected, inputs, 0, None)
         if mask:
             i = (mask & -mask).bit_length() - 1
-            r = bisect_left(admit[1], -logps[i])
-            pruned += r > 0
+            r = int(-logps[i] > admit[1])
+            pruned += r
             heappush(heap, (r, -logps[i], index, (i,), 0, None, None))
         if max_size > 1:
-            r = bisect_left(cut[1], -logps[0])
-            pruned += r > 0
+            r = int(-logps[0] > cut[1])
+            pruned += r
             heappush(heap, (r, -logps[0], index, (0,), 1, inputs, 0.0))
 
     # Items are (round, -logp, scope index, path, kind, parent states,
@@ -379,21 +344,20 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
     expanded = deduped = 0
     solution: tuple[str, ...] | None = None
     solved_subset: int | None = None
-    rounds = len(schedule)
+    rnd = 0
     while heap:
         rnd, neg, index, path, kind, states, base = heappop(heap)
         steps, logps, admit, cut, masks, seen = tables[index]
         if not kind:
             solution = tuple(steps[i][0] for i in path)
-            solved_subset = searches[index].subset_id
-            rounds = rnd + 1
+            solved_subset = scopes[index].subset_id
             break
         expanded += 1
         length = len(path)
         i = path[-1]
         if i + 1 < len(logps):
             sibling = base + logps[i + 1]
-            r = bisect_left(cut[length], -sibling)
+            r = int(-sibling > cut[length])
             pruned += r > rnd
             heappush(heap, (r, -sibling, index, path[:-1] + (i + 1,), 1, states, base))
         _, _, arity, fn = steps[i]
@@ -413,13 +377,13 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
             level[key] = path
             mask = _and_mask(steps, masks, expected, states, 0, None)
             child = logp + logps[0]
-            r = bisect_left(cut[length + 1], -child)
+            r = int(-child > cut[length + 1])
             pruned += r > rnd
             heappush(heap, (r, -child, index, path + (0,), 1, states, logp))
         if mask:
             j = (mask & -mask).bit_length() - 1
             child = logp + logps[j]
-            r = bisect_left(admit[length + 1], -child)
+            r = int(-child > admit[length + 1])
             pruned += r > rnd
             heappush(heap, (r, -child, index, path + (j,), 0, None, None))
 
@@ -428,8 +392,7 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
         nodes_expanded=expanded,
         nodes_pruned_by_threshold=pruned,
         nodes_deduped=deduped,
-        threshold_schedule_used=schedule[:rounds],
-        rounds=rounds,
+        rounds=rnd + 1,
         solved_subset_id=solved_subset,
     )
 

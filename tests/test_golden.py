@@ -62,13 +62,14 @@ def test_pipeline_artifacts_match_recorded_bytes(tmp_path):
 
 
 # The README synth demo. Both reports are the same bytes: the best-first
-# search reports push3 in round 1 before any threshold puts an item in a
-# later round. Recorded again when best-first search replaced the
-# depth-first one, which reported push0 push0 push3, and the schedule
-# began writing its first offset as 0.0 rather than -0.0.
+# search reports push3 after 15 pops, with rounds 1, before the thresholds
+# put any item past round 0. Recorded again when best-first search replaced
+# the depth-first one, which reported push0 push0 push3, and when the
+# widening schedule gave way to two rounds and the report dropped
+# threshold_schedule_used.
 GOLDEN_SYNTH = {
-    "report.json": "e72cccd5a36d1c0ffd525f5e971f5e418aedb7cd2e63e65a38e0d17f2d716c5f",
-    "report-no-prune.json": "e72cccd5a36d1c0ffd525f5e971f5e418aedb7cd2e63e65a38e0d17f2d716c5f",
+    "report.json": "899c5be2e6c55c868a21b2ea4a68c7668d0fef7cffaa56296d6b956576d46790",
+    "report-no-prune.json": "899c5be2e6c55c868a21b2ea4a68c7668d0fef7cffaa56296d6b956576d46790",
 }
 
 

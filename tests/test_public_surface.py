@@ -74,9 +74,12 @@ def _unused() -> list[str]:
 
 
 def test_sources_define_public_names():
-    defs, _ = _names(ROOT / "src" / "probsynth" / "synth.py")
-    found = {(node.name, method) for node, method in defs}
-    assert {("synthesize", False), ("TestCaseSpec", False), ("round_thresholds", True)} <= found
+    found = {
+        (node.name, method)
+        for name in ("synth.py", "probability.py")
+        for node, method in _names(ROOT / "src" / "probsynth" / name)[0]
+    }
+    assert {("synthesize", False), ("TestCaseSpec", False), ("without_thresholds", True)} <= found
 
 
 def test_every_public_name_has_a_caller():

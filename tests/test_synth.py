@@ -34,10 +34,8 @@ from probsynth import (
 from probsynth.probability import LOG10_SLACK
 from probsynth.synth import (
     MAX_PROGRAM_SIZE,
-    WIDENING_STEP_LOG10,
     _OPS,
     _solve_mask,
-    _SubsetSearch,
     _values_equal,
     load_test_spec,
 )
@@ -254,13 +252,29 @@ class TestSynthesize:
         assert solution_probability(table, report.solution) >= base - 1e-9
 
     def test_unsatisfiable_spec_exhausts_schedule(self, dsl_scopes):
+        # The search enters round 1 exactly when the thresholds put some
+        # item there: at max size 3 every prefix clears them, at 4 some do
+        # not. A scope without thresholds has only round 0.
         spec = TestCaseSpec(cases=(TestCase((5,), [5]),))
-        report = synthesize(spec, dsl_scopes, max_size=3)
-        assert report.solution is None
-        assert report.rounds == len(report.threshold_schedule_used)
-        assert report.rounds >= 1
-        # final round ran with every threshold at its floor
-        assert report.threshold_schedule_used[-1] == min(report.threshold_schedule_used)
+        for max_size, rounds in ((3, 1), (4, 2)):
+            report = synthesize(spec, dsl_scopes, max_size)
+            assert report.solution is None and report.rounds == rounds
+            assert (report.nodes_pruned_by_threshold > 0) == (rounds == 2)
+            baseline = synthesize(spec, _scopes(dsl_scopes, False), max_size)
+            assert baseline.solution is None and baseline.rounds == 1
+
+    def test_unknown_instruction_rejected_before_search(self, dsl_scopes, monkeypatch):
+        # A scope's table names an instruction outside the DSL: synthesize
+        # raises naming it, before any stack is stepped.
+        table = table_from_counts("is:9", {"push1": 3, "frobnicate": 1})
+        scope = Scope(9, table, (), array("d"), {}, {})
+
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("probsynth.synth._and_mask", no_search)
+        with pytest.raises(ValueError, match="unknown DSL instruction 'frobnicate'"):
+            synthesize(TestCaseSpec(cases=(TestCase((), 1),)), [*dsl_scopes, scope], 3)
 
     def test_list_pipeline_synthesis(self):
         alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
@@ -289,86 +303,50 @@ class TestSynthesize:
         assert payload["nodes_expanded"] == report.nodes_expanded
         assert payload["nodes_deduped"] == report.nodes_deduped
         assert type(payload["nodes_deduped"]) is int
-
-
-class TestWideningSchedule:
-    """synthesize's rounds: round r lowers every threshold by 2r orders of magnitude."""
-
-    def test_step_sets_the_schedule(self, dsl_scopes):
-        spec = TestCaseSpec(cases=(TestCase((5,), [5]),))
-        report = synthesize(spec, dsl_scopes, 3)
-        assert report.rounds > 1
-        assert report.threshold_schedule_used == [r * -2.0 for r in range(report.rounds)]
-        # The first offset is a plain 0.0, written as such in a report.
-        assert math.copysign(1.0, report.threshold_schedule_used[0]) == 1.0
-
-    def test_rounds_widen_monotonically(self, dsl_scopes):
-        search = _SubsetSearch(dsl_scopes[0], 6)
-        previous = None
-        for round_index in range(6):
-            active, tail_min, _ = search.round_thresholds(round_index * -2.0, 6)
-            if previous is not None:
-                assert all(a <= p for a, p in zip(active[1:], previous[1:]))
-            assert all(tail_min[s] <= active[s] for s in range(1, 7))
-            previous = active
-
-    def test_thresholds_never_pass_their_floors(self, dsl_scopes):
-        search = _SubsetSearch(dsl_scopes[0], 6)
-        active, _, at_floor = search.round_thresholds(-1000.0, 6)
-        assert at_floor
-        assert active[1:] == search.floors[1:]
+        assert type(payload["rounds"]) is int
 
 
 def least_key_search(spec, scopes, max_size):
     """Brute-force oracle for ``synthesize``'s order. Every candidate of
     every scope up to ``max_size`` is keyed by (round, -log10 p, scope
-    index, path): its round is the first whose ``round_thresholds`` admits
-    it at its size, less ``LOG10_SLACK``; log10 p is summed step by step in
-    program order; the path is its step indices in the scope's table. The
-    candidate is run with ``evaluate``. Returns the least passing key's
-    program, its subset id and the rounds of its report: its round + 1, or
-    the whole schedule's length when none passes."""
-    searches = [_SubsetSearch(scope, max_size) for scope in scopes]
-    schedule = []  # per round, each scope's active thresholds
-    while True:
-        offset = len(schedule) * WIDENING_STEP_LOG10
-        rows = [search.round_thresholds(offset, max_size) for search in searches]
-        schedule.append([active for active, _, _ in rows])
-        if all(at_floor for _, _, at_floor in rows):
-            break
+    index, path): its round is 0 when it clears its size's threshold, less
+    ``LOG10_SLACK``, or its size has none, and 1 otherwise; log10 p is
+    summed step by step in program order; the path is its step indices in
+    the scope's table. The candidate is run with ``evaluate``. Returns the
+    least passing key's program, its subset id and its round + 1, or
+    ``None, None, None`` when none passes."""
     best = None
-    for index, search in enumerate(searches):
-        names = [name for name, _, _, _ in search.steps]
-        logps = [logp for _, logp, _, _ in search.steps]
+    for index, scope in enumerate(scopes):
+        names = list(scope.table.log10_probs)
+        logps = list(scope.table.log10_probs.values())
         for size in range(1, max_size + 1):
-            bounds = [active[index][size] - LOG10_SLACK for active in schedule]
+            bound = scope.thresholds.get(size, -math.inf) - LOG10_SLACK
             for path in product(range(len(names)), repeat=size):
                 logp = 0.0
                 for i in path:
                     logp += logps[i]
-                round_ = next((r for r, bound in enumerate(bounds) if logp >= bound), None)
-                if round_ is None:
-                    continue
-                key = (round_, -logp, index, path)
+                key = (int(logp < bound), -logp, index, path)
                 if best is not None and key >= best[0]:
                     continue
                 program = tuple(names[i] for i in path)
                 if satisfies(program, spec):
-                    best = (key, program, search.subset_id)
+                    best = (key, program, scope.subset_id)
     if best is None:
-        return None, None, len(schedule)
+        return None, None, None
     (round_, _, _, _), program, subset_id = best
     return program, subset_id, round_ + 1
 
 
 def _check_against_oracle(spec, scopes, max_size):
-    """Run synthesize and assert the oracle's program, subset and rounds,
-    and the schedule of those rounds, starting at a plain 0.0."""
+    """Run synthesize and assert the oracle's program, subset and, when a
+    program passes, rounds. With no solution, the search ends in round 1
+    exactly when the thresholds put some item there."""
     report = synthesize(spec, scopes, max_size)
     solution, subset_id, rounds = least_key_search(spec, scopes, max_size)
-    assert (report.solution, report.solved_subset_id, report.rounds) == (solution, subset_id, rounds)
-    assert report.threshold_schedule_used == [r * WIDENING_STEP_LOG10 for r in range(rounds)]
-    assert math.copysign(1.0, report.threshold_schedule_used[0]) == 1.0
+    assert (report.solution, report.solved_subset_id) == (solution, subset_id)
+    if rounds is None:
+        rounds = 1 + (report.nodes_pruned_by_threshold > 0)
+    assert report.rounds == rounds
     return report
 
 
@@ -414,8 +392,8 @@ def planted_fixture():
 
 def _unsatisfiable_spec(seed):
     """Integer inputs and a list output: no instruction builds a list from
-    integers, so the whole widening schedule runs: several rounds with
-    thresholds, one at the floors without."""
+    integers, so the search pops every prefix it opens: in both rounds
+    with thresholds, in round 0 alone without."""
     rng = random.Random(seed)
     return TestCaseSpec(
         cases=tuple(
@@ -449,14 +427,16 @@ class TestDominanceOracle:
     def test_unsatisfiable_specs_match_plain_search(self, planted_fixture, thresholds, seed):
         scopes = _scopes(planted_fixture[0], thresholds)
         report = _check_against_oracle(_unsatisfiable_spec(seed), scopes, 4)
-        assert report.solution is None and (report.rounds > 1) == thresholds
+        assert report.solution is None
+        assert (report.rounds == 2) == (report.nodes_pruned_by_threshold > 0) == thresholds
+        assert report.rounds == (2 if thresholds else 1)
         assert report.nodes_deduped > 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_widening_tests_each_candidate_once(self, planted_fixture, seed, monkeypatch):
-        # Each prefix is popped at most once over the whole schedule, and a
-        # stack's solve mask serves every round, so the four rounds compare
-        # as many outputs as one round at the floors.
+        # Each prefix is popped at most once over both rounds, and a
+        # stack's solve mask serves both, so the two rounds compare as many
+        # outputs as the one round of the scopes without thresholds.
         calls = 0
 
         def counting(result, expected):
@@ -467,7 +447,7 @@ class TestDominanceOracle:
         monkeypatch.setattr("probsynth.synth._values_equal", counting)
         spec = _unsatisfiable_spec(seed)
         counts = []
-        for thresholds, rounds in ((True, 4), (False, 1)):
+        for thresholds, rounds in ((True, 2), (False, 1)):
             calls = 0
             report = synthesize(spec, _scopes(planted_fixture[0], thresholds), 4)
             assert report.solution is None and report.rounds == rounds
@@ -476,18 +456,19 @@ class TestDominanceOracle:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_widening_visits_about_one_sweep(self, planted_fixture, seed):
-        # The rounds share one heap, so the four rounds pop the same
-        # prefixes as one round at the floors. Walking every earlier
-        # round's tree again cost 3.5 times one sweep.
+        # The rounds share one heap, so the two rounds pop the same
+        # prefixes as the one round of the scopes without thresholds.
+        # Walking every earlier round's tree again cost 3.5 times one sweep.
         spec = _unsatisfiable_spec(seed)
         widened = synthesize(spec, planted_fixture[0], 4)
         swept = synthesize(spec, _scopes(planted_fixture[0], False), 4)
-        assert (widened.rounds, swept.rounds) == (4, 1)
+        assert (widened.rounds, swept.rounds) == (2, 1)
         assert widened.nodes_expanded <= 1.15 * swept.nodes_expanded
 
     # Programs below their size's threshold in the subset that solves them,
-    # so only a later widening round admits them: at an interior length and
-    # at max_size, with and without dominance hits.
+    # so only round 1 admits them: at an interior length and at max_size,
+    # with and without dominance hits. Round 1 ranks by probability alone,
+    # so the answer is the one the scopes without thresholds give.
     @pytest.mark.parametrize(
         "program,inputs,max_size,deduped",
         [
@@ -501,7 +482,9 @@ class TestDominanceOracle:
     def test_later_round_solutions_match_reference(self, planted_fixture, program, inputs, max_size, deduped):
         spec = cases_from_program(program, inputs)
         report = _check_against_oracle(spec, planted_fixture[0], max_size)
-        assert report.rounds >= 2
+        assert report.rounds == 2
+        unpruned = synthesize(spec, _scopes(planted_fixture[0], False), max_size)
+        assert (report.solution, report.solved_subset_id) == (unpruned.solution, unpruned.solved_subset_id)
         assert report.solution is not None and satisfies(report.solution, spec)
         assert len(report.solution) == len(program)
         assert (report.nodes_deduped > 0) == deduped
@@ -538,7 +521,7 @@ class TestDominanceOracle:
         push0, add = table.log10_probs["push0"], table.log10_probs["add"]
         first, later = push0 + add + push0, push0 + push0 + add
         assert first > later and first + add == later + add
-        # Size 2 waits for round 1, so push0 add itself is not the answer.
+        # Size 2 is in round 1, so push0 add itself is not the answer.
         scope = Scope(0, table, (), array("d"), {2: push0 + add + 0.5}, {2: 1})
         spec = TestCaseSpec(cases=(TestCase((5,), 5), TestCase((7,), 7)))
         report = _check_against_oracle(spec, [scope], 5)
@@ -575,7 +558,7 @@ class TestSolveMasks:
     def test_floor_sweep_compares_each_stack_once(self, planted_fixture, seed, monkeypatch):
         # A mask is computed once per case and pair of top values, and a
         # prefix's later cases are read only while the AND of its masks is
-        # nonzero: one round at the floors makes 2,922 and 6,571
+        # nonzero: the scopes without thresholds make 2,922 and 6,571
         # comparisons at seeds 0 and 1, where testing each candidate on its
         # own made 24,721.
         calls = 0
@@ -593,7 +576,7 @@ class TestSolveMasks:
     @pytest.mark.parametrize("seed, whole_stack_calls", [(0, 1_037), (1, 1_463)])
     def test_floor_sweep_computes_masks_per_top_pair(self, planted_fixture, seed, whole_stack_calls, monkeypatch):
         # Stacks that differ only below their top two values share one
-        # mask: one round at the floors computes 316 and 708 masks at seeds
+        # mask: the scopes without thresholds compute 316 and 708 masks at seeds
         # 0 and 1, where a memo keyed by the whole stack computed 1,037
         # and 1,463.
         calls = 0
@@ -666,7 +649,7 @@ class TestSolveMaskReadsTopTwo:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data(), stacks_and_expected())
     def test_mask_of_the_top_two_values_is_the_stacks(self, dsl_scopes, data, drawn):
-        tables = [_SubsetSearch(scope, 1).steps for scope in dsl_scopes]
+        tables = [[(name, logp, *_OPS[name]) for name, logp in scope.table.log10_probs.items()] for scope in dsl_scopes]
         tables.append([(name, 0.0, *_OPS[name]) for name in DSL_ALPHABET])
         steps = data.draw(st.sampled_from(tables))
         stack, expected = drawn
