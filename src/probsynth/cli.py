@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=_positive_int, help="alphabet size (ranked, default 100)")
     p.add_argument("--exponent", type=_positive_float, default=1.0, help="Zipf exponent (> 0)")
     p.add_argument("--sizes", type=_size_spec, default="1..40", help="unit size range A..B (default 1..40)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="random seed")
     p.add_argument("--clusters", type=_non_negative_int, help="overlapping instruction pools (default 0 = none)")
     p.add_argument(
         "--dsl-programs",
@@ -301,14 +301,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probs", help="instruction probability tables as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both"])
+    p.add_argument("--scope", choices=["global", "subsets", "both"],
+                   help="global, subsets or both (default: both with --family, else global)")
     _add_common_output(p)
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("thresholds", help="per-size solution probability thresholds as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both"])
+    p.add_argument("--scope", choices=["global", "subsets", "both"],
+                   help="global, subsets or both (default: both with --family, else global)")
     p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
     p.add_argument("--ranges", help="also write possible/observed probability ranges CSV here")
     p.add_argument("--pu-probs", help="also write per-unit solution probabilities CSV here")
@@ -318,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="exact admissible-space sizes and reductions as CSV")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--family", help="subset family JSONL (for per-subset scopes)")
-    p.add_argument("--scope", choices=["global", "subsets", "both"])
+    p.add_argument("--scope", choices=["global", "subsets", "both"],
+                   help="global, subsets or both (default: both with --family, else global)")
     p.add_argument("--sizes", type=_size_spec, required=True, help="solution size range A..B")
     p.add_argument("--cap", type=_positive_int, default=10, help="baseline subset cap (default 10)")
     # The work runs in one thread whatever this says. The option stays only
@@ -331,15 +334,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="cross-validate thresholds on held-out units")
     p.add_argument("-i", "--input", required=True, help="corpus JSONL")
     p.add_argument("--fractions", type=_fractions, required=True, help="comma-separated training fractions in (0,1)")
-    p.add_argument("--max-size", type=_positive_int, default=40)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, default=40, help="largest unit size to use (default 40)")
+    p.add_argument("--seed", type=int, required=True, help="seed of the training/test splits")
     _add_common_output(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="synthesize a DSL program from a test-case spec")
     p.add_argument("--spec", required=True, help="test-case spec JSON")
     p.add_argument("-i", "--input", required=True, help="DSL program corpus JSONL")
-    p.add_argument("--cap", type=_positive_int, default=10)
+    p.add_argument("--cap", type=_positive_int, default=10, help="max instructions per subset (default 10)")
     p.add_argument("--max-size", type=_program_size, default=5, help=f"largest program size to try (1..{MAX_PROGRAM_SIZE})")
     p.add_argument("--no-prune", action="store_true", help="no thresholds: search the IS space by probability alone")
     _add_common_output(p)

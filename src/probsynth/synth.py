@@ -24,10 +24,12 @@ lowers the probability and raises the length, so neither the round nor
 -log10 p falls along an extension and the path only grows: no item's key
 is below that of the prefix that pushed it, and the first passing
 candidate popped has the least key, as in A* with an admissible bound.
-Each prefix is popped at most once. Steps come in descending
-log-probability, so a popped prefix pushes its next sibling, keyed by
-the parent's log-probability plus the next step's, and, once opened, its
-first child: the heap holds about one item per open parent.
+Each prefix is popped at most once. The heap starts with each scope's
+root, the empty prefix, which is opened like any other. Steps come in
+descending log-probability, so a popped prefix pushes its next sibling
+(a root has none), keyed by the parent's log-probability plus the next
+step's, and, once opened, its first child: the heap holds about one item
+per open parent.
 
 A child's verdict depends only on its parent's stack in each case, so
 the search tests stacks rather than candidates. A stack's solve mask has
@@ -139,26 +141,6 @@ _OPS = {
 DSL_ALPHABET = tuple(_OPS)
 
 
-def _step(stack: list, instruction: str):
-    """Apply one instruction to the stack in place; return a Fault or None."""
-    try:
-        in_arity, fn = _OPS[instruction]
-    except KeyError:
-        raise ValueError(f"unknown DSL instruction {instruction!r}") from None
-    if len(stack) < in_arity:
-        return _UNDERFLOW
-    if in_arity:
-        args = stack[-in_arity:]
-        del stack[-in_arity:]
-        result = fn(*args)
-    else:
-        result = fn()
-    if type(result) is Fault:
-        return result
-    stack.extend(result)
-    return None
-
-
 def evaluate(program: Sequence[str], inputs: Sequence = ()):
     """Run a program on the given input stack; the result is the top value.
 
@@ -166,9 +148,18 @@ def evaluate(program: Sequence[str], inputs: Sequence = ()):
     """
     stack = list(inputs)
     for instruction in program:
-        fault = _step(stack, instruction)
-        if fault is not None:
-            return fault
+        try:
+            arity, fn = _OPS[instruction]
+        except KeyError:
+            raise ValueError(f"unknown DSL instruction {instruction!r}") from None
+        depth = len(stack) - arity
+        if depth < 0:
+            return _UNDERFLOW
+        result = fn(*stack[depth:])
+        if type(result) is Fault:
+            return result
+        del stack[depth:]
+        stack.extend(result)
     if not stack:
         return Fault("empty-stack")
     return stack[-1]
@@ -246,7 +237,8 @@ class SearchReport:
     scope's subset, and ``rounds`` the rounds the search entered: the
     solution's round + 1, or, when no candidate passes, 1 + the round of
     the last item popped (2 exactly when the thresholds put some item in
-    round 1). ``nodes_expanded`` counts the prefixes popped,
+    round 1). ``nodes_expanded`` counts the non-empty prefixes popped
+    (each scope's root starts the heap and is not counted),
     ``nodes_pruned_by_threshold`` the pushes that the thresholds put in
     round 1 from an item in round 0 (0 without thresholds), and
     ``nodes_deduped`` the prefixes dropped because a prefix of the same
@@ -324,18 +316,9 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
         # path of the prefixes opened with them.
         seen: list[dict[str, tuple[int, ...]]] = [{} for _ in range(max_size)]
         tables.append((steps, logps, admit, cut, masks, seen))
-        # The root is opened in round 0: its passing child, as a
-        # candidate, and its first child, as a prefix.
-        mask = _and_mask(steps, masks, expected, inputs, 0, None)
-        if mask:
-            i = (mask & -mask).bit_length() - 1
-            r = int(-logps[i] > admit[1])
-            pruned += r
-            heappush(heap, (r, -logps[i], index, (i,), 0, None, None))
-        if max_size > 1:
-            r = int(-logps[0] > cut[1])
-            pruned += r
-            heappush(heap, (r, -logps[0], index, (0,), 1, inputs, 0.0))
+        # The root, the empty prefix, is in round 0: no size has threshold
+        # 0, so cut[0] is inf.
+        heappush(heap, (0, 0.0, index, (), 1, inputs, None))
 
     # Items are (round, -logp, scope index, path, kind, parent states,
     # parent logp), with kind 0 for a candidate and 1 for a prefix: a
@@ -352,22 +335,25 @@ def synthesize(spec: TestCaseSpec, scopes: Sequence[Scope], max_size: int) -> Se
             solution = tuple(steps[i][0] for i in path)
             solved_subset = scopes[index].subset_id
             break
-        expanded += 1
         length = len(path)
-        i = path[-1]
-        if i + 1 < len(logps):
-            sibling = base + logps[i + 1]
-            r = int(-sibling > cut[length])
-            pruned += r > rnd
-            heappush(heap, (r, -sibling, index, path[:-1] + (i + 1,), 1, states, base))
-        _, _, arity, fn = steps[i]
         logp = -neg
+        arity, fn = 0, None
+        if path:  # a root has no sibling and takes no step
+            expanded += 1
+            i = path[-1]
+            if i + 1 < len(logps):
+                sibling = base + logps[i + 1]
+                r = int(-sibling > cut[length])
+                pruned += r > rnd
+                heappush(heap, (r, -sibling, index, path[:-1] + (i + 1,), 1, states, base))
+            _, _, arity, fn = steps[i]
         if length == last:
             mask = _and_mask(steps, masks, expected, states, arity, fn)
         else:
-            states = [_stepped(state, arity, fn) for state in states]
-            if None in states:
-                continue
+            if path:
+                states = [_stepped(state, arity, fn) for state in states]
+                if None in states:
+                    continue
             level = seen[length]
             key = repr(states)
             least = level.get(key)
@@ -461,25 +447,21 @@ def random_program_corpus(
     num_units: int,
     size_distribution: SizeSpec | str,
     seed: int,
-    alphabet: Sequence[str] = DSL_ALPHABET,
     zipf_exponent: float = 1.0,
     input_arity: int = 0,
     probe_inputs: Sequence[Sequence] = ((),),
 ) -> Corpus:
     """Corpus of random well-formed DSL programs for synthesizer experiments.
 
-    Instructions are drawn Zipf-weighted in the order the alphabet lists
-    them; candidates are rejected until they evaluate without fault on every
-    probe input, each of ``input_arity`` values. Arities do not depend on the
-    data, so a kept program never underflows and leaves a result on any
-    input of that arity. The stored instruction list keeps program order, so
-    corpus units double as runnable programs.
+    Instructions are drawn Zipf-weighted in ``DSL_ALPHABET`` order;
+    candidates are rejected until they evaluate without fault on every probe
+    input, each of ``input_arity`` values. Arities do not depend on the data,
+    so a kept program never underflows and leaves a result on any input of
+    that arity. The stored instruction list keeps program order, so corpus
+    units double as runnable programs.
     """
     if num_units < 1:
         raise ValueError(f"num_units must be >= 1, got {num_units}")
-    for instruction in alphabet:
-        if instruction not in _OPS:
-            raise ValueError(f"unknown DSL instruction {instruction!r}")
     if not probe_inputs:
         raise ValueError("random_program_corpus needs at least one probe input")
     for probe in probe_inputs:
@@ -489,7 +471,7 @@ def random_program_corpus(
         size_distribution = parse_size_spec(size_distribution)
 
     rng = random.Random(seed)
-    cum = list(accumulate(k ** -zipf_exponent for k in range(1, len(alphabet) + 1)))
+    cum = list(accumulate(k ** -zipf_exponent for k in range(1, len(DSL_ALPHABET) + 1)))
 
     id_width = len(str(num_units))
     units = []
@@ -500,10 +482,10 @@ def random_program_corpus(
         if attempts > max_attempts:
             raise RuntimeError(
                 f"rejection sampling stalled after {attempts} attempts; "
-                f"alphabet {list(alphabet)!r} may admit no valid programs at arity {input_arity}"
+                "few DSL programs of these sizes run without fault on the probe inputs"
             )
         size = size_distribution.sample(rng)
-        program = tuple(rng.choices(alphabet, cum_weights=cum, k=size))
+        program = tuple(rng.choices(DSL_ALPHABET, cum_weights=cum, k=size))
         if any(isinstance(evaluate(program, probe), Fault) for probe in probe_inputs):
             continue
         units.append(ProgramUnit(id=f"p{len(units) + 1:0{id_width}d}", instructions=program))

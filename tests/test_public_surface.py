@@ -1,7 +1,8 @@
 """Every public function, class and method has a caller outside the tests,
 every import is read where it is bound, every CSV artifact goes through
 one writer, every output file through one write path, only the CLI
-prints, and no code downstream of the scopes looks up a unit id.
+prints, no code downstream of the scopes looks up a unit id, and the
+synthesizer opens prefixes only in its search loop.
 
 A public name counts as used when `src/` or `bench/` refers to it outside
 its own definition (imports and re-exports do not count), or when a code
@@ -176,6 +177,13 @@ def test_one_write_path():
         ("subsets.py", "load_family"),
         ("synth.py", "load_test_spec"),
     ]
+
+
+def test_prefixes_open_only_in_the_search_loop():
+    # Each scope's root is pushed onto the heap as an ordinary prefix, so
+    # the loop's two mask reads (a leaf parent's, an interior prefix's)
+    # are the only places a prefix is opened.
+    assert _calls("_and_mask") == [("synth.py", "synthesize")] * 2
 
 
 def test_ids_become_units_before_scopes():

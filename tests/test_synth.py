@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from probsynth import (
     DSL_ALPHABET,
+    Corpus,
     Fault,
+    ProgramUnit,
     Scope,
     SearchReport,
     TestCase,
@@ -277,10 +279,7 @@ class TestSynthesize:
             synthesize(TestCaseSpec(cases=(TestCase((), 1),)), [*dsl_scopes, scope], 3)
 
     def test_list_pipeline_synthesis(self):
-        alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
-        corpus = random_program_corpus(
-            120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
-        )
+        corpus = _list_corpus()
         scopes = build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 3)
         spec = TestCaseSpec(
             cases=(TestCase(([3, 1, 2],), [1, 2, 3]), TestCase(([9, 4],), [4, 9]))
@@ -304,6 +303,19 @@ class TestSynthesize:
         assert payload["nodes_deduped"] == report.nodes_deduped
         assert type(payload["nodes_deduped"]) is int
         assert type(payload["rounds"]) is int
+
+
+def _list_corpus():
+    """Every program of one to three list instructions that runs without
+    fault on [3, 1, 2]."""
+    alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
+    programs = [
+        program
+        for size in (1, 2, 3)
+        for program in product(alphabet, repeat=size)
+        if not isinstance(evaluate(program, ([3, 1, 2],)), Fault)
+    ]
+    return Corpus(units=tuple(ProgramUnit(id=f"p{i:03d}", instructions=p) for i, p in enumerate(programs)))
 
 
 def least_key_search(spec, scopes, max_size):
@@ -340,8 +352,11 @@ def least_key_search(spec, scopes, max_size):
 def _check_against_oracle(spec, scopes, max_size):
     """Run synthesize and assert the oracle's program, subset and, when a
     program passes, rounds. With no solution, the search ends in round 1
-    exactly when the thresholds put some item there."""
+    exactly when the thresholds put some item there. At ``max_size`` 1
+    only the roots are opened, and they are not counted as expanded."""
     report = synthesize(spec, scopes, max_size)
+    if max_size == 1:
+        assert report.nodes_expanded == 0
     solution, subset_id, rounds = least_key_search(spec, scopes, max_size)
     assert (report.solution, report.solved_subset_id) == (solution, subset_id)
     if rounds is None:
@@ -491,10 +506,7 @@ class TestDominanceOracle:
 
     @pytest.mark.parametrize("thresholds", [True, False])
     def test_list_input_spec_matches_plain_search(self, thresholds):
-        alphabet = ("sort", "reverse", "tail", "map_inc", "sum", "head", "dup", "filter_pos")
-        corpus = random_program_corpus(
-            120, "1..3", seed=41, alphabet=alphabet, input_arity=1, probe_inputs=(([3, 1, 2],),)
-        )
+        corpus = _list_corpus()
         scopes = _scopes(build_scopes(corpus, cluster_subsets(corpus, cap=8), "subsets", 4), thresholds)
         spec = cases_from_program(["reverse", "tail", "map_inc"], [([3, -1, 2],), ([9, 4, -7, 0],), ([5, 1, 8],)])
         report = _check_against_oracle(spec, scopes, 4)
